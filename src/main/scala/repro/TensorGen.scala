@@ -2,11 +2,12 @@ package repro
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.core.TuckerKernels
 import repro.linalg.DenseMatrix
 import repro.tensor.{CoreTensor, SparseTensor}
 
-/** Synthetic sparse-tensor generators — the tensor-shaped extension of
-  * [[SynthData]] (DESIGN.md §5 documents each substitution).
+/** Synthetic sparse-tensor generators (DESIGN.md §5 documents each
+  * substitution).
   *
   * The paper evaluates on two proprietary/external rating tensors
   * (Yahoo-music, MovieLens), two sampled media tensors (video, image) and
@@ -46,8 +47,8 @@ object TensorGen {
     val order = dims.length
     val factors = Array.tabulate(order)(n => DenseMatrix.rand(dims(n), ranks(n), seed + 100 + n))
     val core = CoreTensor.rand(ranks, seed + 200)
-    val bF = spark.sparkContext.broadcast(factors.map(f => (f.rows, f.cols, f.data)))
-    val bC = spark.sparkContext.broadcast(core.entries.map(e => (e.idx, e.value)))
+    val bF = spark.sparkContext.broadcast(TuckerKernels.factorData(factors))
+    val bC = spark.sparkContext.broadcast(TuckerKernels.coreCells(core))
 
     val idxCols = dims.zipWithIndex.map { case (d, k) =>
       (rand(seed + k) * d).cast("int") as s"i$k"
@@ -60,21 +61,7 @@ object TensorGen {
       val idx = new Array[Int](order)
       var k = 0
       while (k < order) { idx(k) = r.getInt(k); k += 1 }
-      var v = 0.0
-      val cells = bC.value
-      var b = 0
-      while (b < cells.length) {
-        val (cIdx, g) = cells(b)
-        var p = g
-        k = 0
-        while (k < order) {
-          val (_, cols, data) = bF.value(k)
-          p *= data(idx(k) * cols + cIdx(k))
-          k += 1
-        }
-        v += p
-        b += 1
-      }
+      val v = TuckerKernels.predict(idx, bF.value, bC.value)
       Row.fromSeq(idx.toSeq :+ (v + noiseSd * r.getDouble(order)))
     }
     var df = spark.createDataFrame(rows, SparseTensor.schema(order))

@@ -2,8 +2,9 @@ package repro.baselines
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
+import repro.core.TuckerKernels
 import repro.linalg.DenseMatrix
-import repro.tensor.{CoreEntry, CoreTensor, SparseTensor, TensorEntry}
+import repro.tensor.{CoreEntry, CoreTensor, DenseTensor, SparseTensor, TensorEntry}
 
 /** Shared machinery for the sparse zero-filled HOOI competitors
   * ([[SHotScan]], [[TuckerCsf]]): both produce the TTMc rows
@@ -118,28 +119,18 @@ object HooiCommon {
     */
   def coreFromEntries(spark: SparkSession, entries: RDD[TensorEntry],
                       factors: Array[DenseMatrix], ranks: Array[Int]): CoreTensor = {
-    val coreSize = ranks.product
-    val bF = spark.sparkContext.broadcast(factors.map(f => (f.cols, f.data)))
-    val bR = spark.sparkContext.broadcast(ranks)
-    val g = entries.treeAggregate(new Array[Double](coreSize))(
+    val cells = DenseTensor.indices(ranks).toArray
+    val bF = spark.sparkContext.broadcast(TuckerKernels.factorData(factors))
+    val bCells = spark.sparkContext.broadcast(cells)
+    val g = entries.treeAggregate(new Array[Double](cells.length))(
       seqOp = { (acc, e) =>
         // walk all core cells; products built incrementally per mode would
         // be faster, but |G| is small for every bench that runs this path.
-        val rs = bR.value
+        val cs = bCells.value
         val f = bF.value
-        val cIdx = new Array[Int](rs.length)
         var cell = 0
         while (cell < acc.length) {
-          var rem = cell; var k = 0
-          while (k < rs.length) { cIdx(k) = rem % rs(k); rem /= rs(k); k += 1 }
-          var p = e.value
-          k = 0
-          while (k < rs.length) {
-            val (cols, data) = f(k)
-            p *= data(e.idx(k) * cols + cIdx(k))
-            k += 1
-          }
-          acc(cell) += p
+          acc(cell) += TuckerKernels.cellProduct(e.idx, cs(cell), e.value, TuckerKernels.NoSkip, f)
           cell += 1
         }
         acc
@@ -147,10 +138,8 @@ object HooiCommon {
       combOp = { (x, y) =>
         var i = 0; while (i < x.length) { x(i) += y(i); i += 1 }; x
       })
-    bF.destroy(); bR.destroy()
-    val cells = repro.tensor.DenseTensor.indices(ranks).zipWithIndex
-      .map { case (idx, i) => CoreEntry(idx, g(i)) }.toArray
-    new CoreTensor(ranks.clone(), cells)
+    bF.destroy(); bCells.destroy()
+    new CoreTensor(ranks.clone(), cells.zip(g).map { case (idx, v) => CoreEntry(idx, v) })
   }
 
   /** Frobenius norm of entries via RDD (zero-filled semantics). */

@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
-import repro.core.{IterStat, TuckerModel}
+import repro.core.{IterStat, TuckerKernels, TuckerModel}
 import repro.linalg.DenseMatrix
 import repro.tensor.SparseTensor
 
@@ -40,7 +40,7 @@ object SHotScan {
       var n = 0
       while (n < order) {
         val kronLen = ranks.indices.filter(_ != n).map(ranks).product
-        val bF = spark.sparkContext.broadcast(factors.map(f => (f.cols, f.data)))
+        val bF = spark.sparkContext.broadcast(TuckerKernels.factorData(factors))
         val mode = n
         // combineByKey, not aggregateByKey: avoids one zero-value
         // deserialization per (key, partition) — see PTucker's note.

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
@@ -44,7 +43,7 @@ final case class PTuckerConfig(ranks: Array[Int],
   *
   * Parallelization mapping (DESIGN.md §2): the paper updates the rows of
   * `A^(n)` across OpenMP threads; here the per-row normal equations
-  * `(B_{i_n}, c_{i_n})` of Eq. (11)-(12) are assembled by `aggregateByKey`
+  * `(B_{i_n}, c_{i_n})` of Eq. (11)-(12) are assembled by `combineByKey`
   * keyed on the mode-`n` index — map-side combiners play the role of
   * per-thread partial sums, the shuffle is the paper's row aggregation, and
   * each reducer solves its `J_n×J_n` system (Eq. 10). The driver only ever
@@ -52,9 +51,7 @@ final case class PTuckerConfig(ranks: Array[Int],
   */
 object PTucker {
 
-  /** Flattened factor matrices for broadcast: `(cols, rowMajorData)` per mode. */
-  private type FactorData = Array[(Int, Array[Double])]
-  private type CoreCells = Array[(Array[Int], Double)]
+  import TuckerKernels.{CoreCells, FactorData, NoSkip, cellProduct, coreCells, factorData}
 
   def fit(spark: SparkSession, tensor: SparseTensor, config: PTuckerConfig): TuckerModel = {
     val order = tensor.order
@@ -63,155 +60,149 @@ object PTucker {
       require(tensor.dims(n) >= config.ranks(n),
         s"mode $n: dim ${tensor.dims(n)} < rank ${config.ranks(n)}")
     }
+    require(config.lambda >= 0, s"lambda ${config.lambda} < 0")
+    require(config.truncationRate >= 0 && config.truncationRate < 1,
+      s"truncationRate ${config.truncationRate} outside [0, 1)")
     val sc = spark.sparkContext
     val T = if (config.partitions > 0) config.partitions else sc.defaultParallelism
+    val cached = config.variant == PTuckerVariant.Cache
 
     val entries = tensor.entriesRdd(T).persist(StorageLevel.MEMORY_AND_DISK)
-    val nnz = entries.count()
-    require(nnz > 0, "empty tensor")
-    val normX = tensor.frobeniusNorm
+    var pres: RDD[(TensorEntry, Array[Double])] = null
+    try {
+      val nnz = entries.count()
+      require(nnz > 0, "empty tensor")
+      val normX = tensor.frobeniusNorm
 
-    // Line 1 of Algorithm 2: Uniform(0,1) init of factors and core.
-    val factors = Array.tabulate(order)(n =>
-      DenseMatrix.rand(tensor.dims(n), config.ranks(n), config.seed + n))
-    var core = CoreTensor.rand(config.ranks, config.seed + 100)
+      // Line 1 of Algorithm 2: Uniform(0,1) init of factors and core.
+      val factors = Array.tabulate(order)(n =>
+        DenseMatrix.rand(tensor.dims(n), config.ranks(n), config.seed + n))
+      var core = CoreTensor.rand(config.ranks, config.seed + 100)
 
-    // Algorithm 3 lines 1-4: precompute the Pres cache table (Cache only).
-    var pres: RDD[(TensorEntry, Array[Double])] =
-      if (config.variant == PTuckerVariant.Cache) {
+      // Algorithm 3 lines 1-4: precompute the Pres cache table (Cache only).
+      if (cached) {
         val bF = sc.broadcast(factorData(factors))
         val bC = sc.broadcast(coreCells(core))
-        val p = entries
-          .map(e => (e, computePres(e.idx, bF.value, bC.value)))
-          .persist(StorageLevel.MEMORY_AND_DISK)
-        // Truncate the lineage: the cached table must not keep the factor
-        // broadcasts alive (we destroy them below) nor grow an unbounded
-        // chain of patch closures across iterations.
-        p.localCheckpoint()
-        p.count()
+        pres = materialize(entries.map(e => (e, computePres(e.idx, bF.value, bC.value))))
         // unpersist, NOT destroy: the map closure above stays a field of the
         // cached RDD even after checkpoint truncation, and task serialization
         // still writes the broadcast stub — destroy would poison every later
         // job over `pres`.
         bF.unpersist(); bC.unpersist()
-        p
-      } else null
+      }
 
-    var history = Vector.empty[IterStat]
-    var prevError = Double.MaxValue
-    var converged = false
-    var iter = 0
-    while (iter < config.maxIters && !converged) {
-      val t0 = System.nanoTime()
+      var history = Vector.empty[IterStat]
+      var prevError = Double.MaxValue
+      var converged = false
+      var iter = 0
+      while (iter < config.maxIters && !converged) {
+        val t0 = System.nanoTime()
 
-      // Algorithm 2 line 3 / Algorithm 3 lines 5-15: update each A^(n).
-      var n = 0
-      while (n < order) {
-        val jn = config.ranks(n)
-        val bF = sc.broadcast(factorData(factors))
-        val bC = sc.broadcast(coreCells(core))
-        val lambda = config.lambda
-
-        val solvedRows: scala.collection.Map[Int, Array[Double]] =
-          (if (config.variant == PTuckerVariant.Cache) {
-            val mode = n
-            // combineByKey, not aggregateByKey: the latter deserializes its
-            // zero value once per (key, partition), which dominates at high T
-            val seqOp = (acc: (Array[Double], Array[Double]), ep: (TensorEntry, Array[Double])) => {
-              val d = deltaFromPres(ep._1.idx, ep._2, mode, jn, bF.value, bC.value)
-              accumulate(acc, d, ep._1.value); acc
-            }
-            pres
-              .map { case (e, p) => (e.idx(mode), (e, p)) }
-              .combineByKey(
-                (ep: (TensorEntry, Array[Double])) =>
-                  seqOp((new Array[Double](jn * jn), new Array[Double](jn)), ep),
-                seqOp, mergeAcc _)
-              .mapValues(solveRow(_, jn, lambda))
-              .collectAsMap()
-          } else {
-            val mode = n
-            val seqOp = (acc: (Array[Double], Array[Double]), e: TensorEntry) => {
-              val d = computeDelta(e.idx, mode, jn, bF.value, bC.value)
-              accumulate(acc, d, e.value); acc
-            }
-            entries
-              .map(e => (e.idx(mode), e))
-              .combineByKey(
-                (e: TensorEntry) =>
-                  seqOp((new Array[Double](jn * jn), new Array[Double](jn)), e),
-                seqOp, mergeAcc _)
-              .mapValues(solveRow(_, jn, lambda))
-              .collectAsMap()
-          })
-
-        // Driver-side row substitution. Rows with Ω^(n)_{i_n} = ∅ have
-        // B = 0, c = 0, so Eq. (10) gives the zero row (pure regularization).
-        val updated = DenseMatrix.zeros(tensor.dims(n), jn)
-        solvedRows.foreach { case (i, row) => updated.setRow(i, row) }
-        val oldFactor = factors(n)
-        factors(n) = updated
-        bF.destroy(); bC.destroy()
-
-        // Algorithm 3 lines 16-19: patch Pres multiplicatively for mode n.
-        if (config.variant == PTuckerVariant.Cache) {
-          val bOld = sc.broadcast((oldFactor.cols, oldFactor.data))
-          val bNew = sc.broadcast((updated.cols, updated.data))
-          val bC2 = sc.broadcast(coreCells(core))
-          val bF2 = sc.broadcast(factorData(factors))
+        // Algorithm 2 line 3 / Algorithm 3 lines 5-15: update each A^(n).
+        var n = 0
+        while (n < order) {
           val mode = n
-          val next = pres
-            .map { case (e, p) =>
-              (e, patchPres(e.idx, p, mode, bOld.value, bNew.value, bC2.value, bF2.value))
+          val jn = config.ranks(n)
+          val lambda = config.lambda
+          val bF = sc.broadcast(factorData(factors))
+          val bC = sc.broadcast(coreCells(core))
+
+          // The variant decides only where δ comes from: recomputed from the
+          // entry (Eq. 13) or read off the entry's Pres row (Alg. 3 line 12).
+          val deltas: RDD[(Int, (Array[Double], Double))] =
+            if (cached) pres.map { case (e, p) =>
+              (e.idx(mode), (deltaFromPres(e.idx, p, mode, jn, bF.value, bC.value), e.value))
             }
-            .persist(StorageLevel.MEMORY_AND_DISK)
-          next.localCheckpoint() // sever the patch-closure chain (see above)
-          next.count()
-          pres.unpersist(blocking = false)
-          pres = next
-          // see the Pres-creation note: lineage closures keep these stubs
-          bOld.unpersist(); bNew.unpersist(); bC2.unpersist(); bF2.unpersist()
+            else entries.map(e =>
+              (e.idx(mode), (computeDelta(e.idx, mode, jn, bF.value, bC.value), e.value)))
+          // combineByKey, not aggregateByKey: the latter deserializes its
+          // zero value once per (key, partition), which dominates at high T
+          val seqOp = (acc: (Array[Double], Array[Double]), dx: (Array[Double], Double)) => {
+            accumulate(acc, dx._1, dx._2); acc
+          }
+          val solvedRows = deltas
+            .combineByKey(
+              (dx: (Array[Double], Double)) =>
+                seqOp((new Array[Double](jn * jn), new Array[Double](jn)), dx),
+              seqOp, mergeAcc _)
+            .mapValues(solveRow(_, jn, lambda))
+            .collectAsMap()
+
+          // Driver-side row substitution. Rows with Ω^(n)_{i_n} = ∅ have
+          // B = 0, c = 0, so Eq. (10) gives the zero row (pure regularization).
+          val updated = DenseMatrix.zeros(tensor.dims(n), jn)
+          solvedRows.foreach { case (i, row) => updated.setRow(i, row) }
+          factors(n) = updated
+
+          // Algorithm 3 lines 16-19: patch Pres multiplicatively for mode n.
+          // bF still holds the old factors and bC the core.
+          if (cached) {
+            val bNew = sc.broadcast(factorData(factors))
+            val old = pres
+            pres = materialize(old.map { case (e, p) =>
+              (e, patchPres(e.idx, p, mode, bF.value(mode), bC.value, bNew.value))
+            })
+            old.unpersist(blocking = false)
+            // see the Pres-creation note: Pres closures keep these stubs
+            bF.unpersist(); bC.unpersist(); bNew.unpersist()
+          } else {
+            bF.destroy(); bC.destroy()
+          }
+          n += 1
         }
-        n += 1
+
+        // Algorithm 2 line 4: reconstruction error (Eq. 6) — fully parallel.
+        val sse = TuckerKernels.sumSquaredError(spark, entries, factors, core)
+        val error = math.sqrt(sse)
+        if (!error.isFinite)
+          throw new IllegalStateException(
+            s"P-Tucker ${config.variant}: reconstruction error is $error at iteration ${iter + 1}")
+
+        // Algorithm 2 lines 5-6 (+ Algorithm 4): truncate "noisy" core cells.
+        if (config.variant == PTuckerVariant.Approx && core.nnz > 1) {
+          val r = computeRBeta(spark, entries, factors, core)
+          val drop = math.min((config.truncationRate * core.nnz).toInt, core.nnz - 1)
+          if (drop > 0) core = core.truncate(r, drop)
+        }
+
+        val millis = (System.nanoTime() - t0) / 1000000L
+        history :+= IterStat(iter + 1, millis, error, 1.0 - error / normX, core.nnz)
+        converged = prevError != Double.MaxValue &&
+          math.abs(prevError - error) <= config.tol * math.max(prevError, 1e-12)
+        prevError = error
+        iter += 1
       }
 
-      // Algorithm 2 line 4: reconstruction error (Eq. 6) — fully parallel.
-      val sse = TuckerKernels.sumSquaredError(spark, entries, factors, core)
-      val error = math.sqrt(sse)
-
-      // Algorithm 2 lines 5-6 (+ Algorithm 4): truncate "noisy" core cells.
-      if (config.variant == PTuckerVariant.Approx && core.nnz > 1) {
-        val r = computeRBeta(spark, entries, factors, core)
-        val drop = math.min((config.truncationRate * core.nnz).toInt, core.nnz - 1)
-        if (drop > 0) core = core.truncate(r, drop)
+      // Algorithm 2 lines 8-11: QR-orthogonalize factors, fold R into the core.
+      if (config.orthogonalize) {
+        var n = 0
+        while (n < order) {
+          val (q, r) = DenseMatrix.qr(factors(n))
+          factors(n) = q
+          core = core.modeProduct(n, r)
+          n += 1
+        }
       }
 
-      val millis = (System.nanoTime() - t0) / 1000000L
-      history :+= IterStat(iter + 1, millis, error, 1.0 - error / normX, core.nnz)
-      converged = prevError != Double.MaxValue &&
-        math.abs(prevError - error) <= config.tol * math.max(prevError, 1e-12)
-      prevError = error
-      iter += 1
+      TuckerModel(tensor.dims, config.ranks, factors, core, history,
+        meta = Map(
+          "partitions" -> T.toDouble,
+          "intermediateDoubles" -> intermediateDoubles(config, T, nnz).toDouble))
+    } finally {
+      entries.unpersist(blocking = false)
+      if (pres != null) pres.unpersist(blocking = false)
     }
+  }
 
-    // Algorithm 2 lines 8-11: QR-orthogonalize factors, fold R into the core.
-    if (config.orthogonalize) {
-      var n = 0
-      while (n < order) {
-        val (q, r) = DenseMatrix.qr(factors(n))
-        factors(n) = q
-        core = core.modeProduct(n, r)
-        n += 1
-      }
-    }
-
-    entries.unpersist(blocking = false)
-    if (pres != null) pres.unpersist(blocking = false)
-
-    TuckerModel(tensor.dims, config.ranks, factors, core, history,
-      meta = Map(
-        "partitions" -> T.toDouble,
-        "intermediateDoubles" -> intermediateDoubles(config, T, nnz).toDouble))
+  /** Persists and counts one Pres table. The local checkpoint truncates its
+    * lineage, so the table neither keeps the broadcasts of earlier tables
+    * alive nor grows an unbounded chain of patch closures across iterations.
+    */
+  private def materialize(p: RDD[(TensorEntry, Array[Double])]): RDD[(TensorEntry, Array[Double])] = {
+    p.persist(StorageLevel.MEMORY_AND_DISK)
+    p.localCheckpoint()
+    p.count()
+    p
   }
 
   /** Intermediate-data model of Table III, in doubles: what the algorithm
@@ -235,29 +226,14 @@ object PTucker {
   // kernels (run inside tasks; everything reachable is plain arrays)
   // -------------------------------------------------------------------
 
-  private def factorData(factors: Array[DenseMatrix]): FactorData =
-    factors.map(f => (f.cols, f.data))
-
-  private def coreCells(core: CoreTensor): CoreCells =
-    core.entries.map(e => (e.idx, e.value))
-
   /** Eq. (13): δ^{(n)}_α — length-J_n vector; O(N) multiplies per core cell. */
   private[core] def computeDelta(idx: Array[Int], n: Int, jn: Int,
                                  f: FactorData, cells: CoreCells): Array[Double] = {
     val out = new Array[Double](jn)
     var b = 0
     while (b < cells.length) {
-      val (cIdx, g) = cells(b)
-      var p = g
-      var k = 0
-      while (k < idx.length) {
-        if (k != n) {
-          val (cols, data) = f(k)
-          p *= data(idx(k) * cols + cIdx(k))
-        }
-        k += 1
-      }
-      out(cIdx(n)) += p
+      val c = cells(b)
+      out(c._1(n)) += cellProduct(idx, c._1, c._2, n, f)
       b += 1
     }
     out
@@ -270,15 +246,8 @@ object PTucker {
     val out = new Array[Double](cells.length)
     var b = 0
     while (b < cells.length) {
-      val (cIdx, g) = cells(b)
-      var p = g
-      var k = 0
-      while (k < idx.length) {
-        val (cols, data) = f(k)
-        p *= data(idx(k) * cols + cIdx(k))
-        k += 1
-      }
-      out(b) = p
+      val c = cells(b)
+      out(b) = cellProduct(idx, c._1, c._2, NoSkip, f)
       b += 1
     }
     out
@@ -295,50 +264,30 @@ object PTucker {
     while (b < cells.length) {
       val (cIdx, g) = cells(b)
       val a = dataN(idx(n) * colsN + cIdx(n))
-      if (math.abs(a) > 1e-12) out(cIdx(n)) += p(b) / a
-      else {
-        // degenerate cell: recompute the product without mode n (paper note)
-        var prod = g
-        var k = 0
-        while (k < idx.length) {
-          if (k != n) {
-            val (cols, data) = f(k)
-            prod *= data(idx(k) * cols + cIdx(k))
-          }
-          k += 1
-        }
-        out(cIdx(n)) += prod
-      }
+      // degenerate cell: recompute the product without mode n (paper note)
+      out(cIdx(n)) += (if (math.abs(a) > 1e-12) p(b) / a else cellProduct(idx, cIdx, g, n, f))
       b += 1
     }
     out
   }
 
-  /** Algorithm 3 line 19: `Pres *= a_new/a_old` for mode `n`, recomputing
-    * the full product when the old entry is ~0 (division is unsafe there).
+  /** Algorithm 3 line 19: `Pres *= a_new/a_old` for mode `n`, where `oldF`
+    * is the old `A^(n)` and `f` holds the updated factors; recomputes the
+    * full product when the old entry is ~0 (division is unsafe there).
     */
   private[core] def patchPres(idx: Array[Int], p: Array[Double], n: Int,
-                              oldF: (Int, Array[Double]), newF: (Int, Array[Double]),
-                              cells: CoreCells, allF: FactorData): Array[Double] = {
+                              oldF: (Int, Array[Double]), cells: CoreCells,
+                              f: FactorData): Array[Double] = {
     val out = new Array[Double](p.length)
     val (colsO, dataO) = oldF
-    val (colsN, dataN) = newF
+    val (colsN, dataN) = f(n)
     var b = 0
     while (b < cells.length) {
       val (cIdx, g) = cells(b)
       val aOld = dataO(idx(n) * colsO + cIdx(n))
-      val aNew = dataN(idx(n) * colsN + cIdx(n))
-      if (math.abs(aOld) > 1e-12) out(b) = p(b) / aOld * aNew
-      else {
-        var prod = g
-        var k = 0
-        while (k < idx.length) {
-          val (cols, data) = allF(k)
-          prod *= data(idx(k) * cols + cIdx(k))
-          k += 1
-        }
-        out(b) = prod
-      }
+      out(b) =
+        if (math.abs(aOld) > 1e-12) p(b) / aOld * dataN(idx(n) * colsN + cIdx(n))
+        else cellProduct(idx, cIdx, g, NoSkip, f)
       b += 1
     }
     out

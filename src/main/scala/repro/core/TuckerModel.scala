@@ -25,8 +25,7 @@ final case class TuckerModel(dims: Array[Int], ranks: Array[Int],
 
   /** Eq. (5): predicted value of cell `idx`. */
   def predict(idx: Array[Int]): Double =
-    TuckerKernels.predict(idx, factors.map(f => (f.cols, f.data)),
-      core.entries.map(e => (e.idx, e.value)))
+    TuckerKernels.predict(idx, TuckerKernels.factorData(factors), TuckerKernels.coreCells(core))
 
   /** Eq. (6) over the observed entries of `t`. */
   def reconstructionError(spark: SparkSession, t: SparseTensor, partitions: Int = 0): Double = {
@@ -51,27 +50,49 @@ final case class TuckerModel(dims: Array[Int], ranks: Array[Int],
     if (history.isEmpty) 0.0 else history.map(_.millis).sum.toDouble / history.size
 }
 
-/** Shared distributed kernels over (entries ⊗ core-cells): prediction and
-  * squared-error sums. Factors/core travel as broadcast plain arrays to keep
-  * task closures small.
+/** The one "core cell × factor rows" product every P-Tucker quantity is
+  * built from, and the distributed prediction/error sums over it. Factors
+  * and core travel to tasks as broadcast plain arrays ([[factorData]],
+  * [[coreCells]]) to keep task closures small.
   */
 object TuckerKernels {
 
-  /** Eq. (5) for one cell, over plain arrays: `factorData(k) = (cols, rowMajor)`. */
-  def predict(idx: Array[Int], factorData: Array[(Int, Array[Double])],
-              coreCells: Array[(Array[Int], Double)]): Double = {
+  /** Broadcast form of the factor matrices: `(cols, rowMajorData)` per mode. */
+  type FactorData = Array[(Int, Array[Double])]
+  /** Broadcast form of the core: `(cellIndex, G_β)` per surviving cell. */
+  type CoreCells = Array[(Array[Int], Double)]
+
+  /** [[cellProduct]]'s `skip` when every mode is multiplied in. */
+  final val NoSkip = -1
+
+  def factorData(factors: Array[DenseMatrix]): FactorData = factors.map(f => (f.cols, f.data))
+
+  def coreCells(core: CoreTensor): CoreCells = core.entries.map(e => (e.idx, e.value))
+
+  /** `g · ∏_{k≠skip} a^(k)_{idx_k, cell_k}`, multiplied in ascending mode
+    * order. With `g = G_β` it is Pres (Alg. 3); with `skip = n`, one cell's
+    * term of δ (Eq. 13); summed over cells, the prediction (Eq. 5).
+    */
+  def cellProduct(idx: Array[Int], cell: Array[Int], g: Double, skip: Int, f: FactorData): Double = {
+    var p = g
+    var k = 0
+    while (k < idx.length) {
+      if (k != skip) {
+        val fk = f(k)
+        p *= fk._2(idx(k) * fk._1 + cell(k))
+      }
+      k += 1
+    }
+    p
+  }
+
+  /** Eq. (5) for one cell, over plain arrays. */
+  def predict(idx: Array[Int], factorData: FactorData, coreCells: CoreCells): Double = {
     var v = 0.0
     var b = 0
     while (b < coreCells.length) {
-      val (cIdx, g) = coreCells(b)
-      var p = g
-      var k = 0
-      while (k < idx.length) {
-        val (cols, data) = factorData(k)
-        p *= data(idx(k) * cols + cIdx(k))
-        k += 1
-      }
-      v += p
+      val c = coreCells(b)
+      v += cellProduct(idx, c._1, c._2, NoSkip, factorData)
       b += 1
     }
     v
@@ -80,8 +101,8 @@ object TuckerKernels {
   /** `Σ_{α∈Ω} (x_α - x̂_α)²` — the inside of Eq. (6), distributed. */
   def sumSquaredError(spark: SparkSession, entries: RDD[TensorEntry],
                       factors: Array[DenseMatrix], core: CoreTensor): Double = {
-    val bF = spark.sparkContext.broadcast(factors.map(f => (f.cols, f.data)))
-    val bC = spark.sparkContext.broadcast(core.entries.map(e => (e.idx, e.value)))
+    val bF = spark.sparkContext.broadcast(factorData(factors))
+    val bC = spark.sparkContext.broadcast(coreCells(core))
     try {
       entries
         .map { e =>

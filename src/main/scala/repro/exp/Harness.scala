@@ -35,11 +35,9 @@ final case class RunResult(method: Method, model: Option[TuckerModel], oom: Bool
 object Harness {
 
   def run(spark: SparkSession, method: Method, t: SparseTensor, ranks: Array[Int],
-          iters: Int, partitions: Int = 0, truncationRate: Double = 0.2,
-          seed: Long = 17): RunResult = {
+          iters: Int, partitions: Int = 0, seed: Long = 17): RunResult = {
     def cfg(v: PTuckerVariant) = PTuckerConfig(ranks = ranks, maxIters = iters,
-      tol = 0.0, variant = v, truncationRate = truncationRate,
-      partitions = partitions, orthogonalize = false, seed = seed)
+      tol = 0.0, variant = v, partitions = partitions, orthogonalize = false, seed = seed)
     try {
       val model = method match {
         case Method.PTuckerDefault => PTucker.fit(spark, t, cfg(PTuckerVariant.Default))

@@ -70,8 +70,8 @@ class PTuckerOracleSpec extends SparkSpec {
       nnz = 80, noiseSd = 0.0, seed = 8)
     val factors = Array.tabulate(3)(n => repro.linalg.DenseMatrix.rand(t.dims(n), 2, 50 + n))
     val core = repro.tensor.CoreTensor.rand(Array(2, 2, 2), 60)
-    val fd = factors.map(f => (f.cols, f.data))
-    val cc = core.entries.map(e => (e.idx, e.value))
+    val fd = TuckerKernels.factorData(factors)
+    val cc = TuckerKernels.coreCells(core)
 
     // Spark/kernel side: c per (i0, j)
     val cRows = t.collectEntries()

@@ -15,8 +15,8 @@ class PTuckerRuleSpec extends AnyFunSuite {
   private val seed = 13L
   private val factors = Array.tabulate(3)(n => DenseMatrix.rand(dims(n), ranks(n), seed + n))
   private val core = CoreTensor.rand(ranks, seed + 100)
-  private val fd = factors.map(f => (f.cols, f.data))
-  private val cc = core.entries.map(e => (e.idx, e.value))
+  private val fd = TuckerKernels.factorData(factors)
+  private val cc = TuckerKernels.coreCells(core)
 
   private val rng = new scala.util.Random(7)
   private val entries: Seq[(Array[Int], Double)] = (0 until 40).map { _ =>
@@ -78,7 +78,7 @@ class PTuckerRuleSpec extends AnyFunSuite {
   test("deltaFromPres falls back to recomputation at a zero factor entry") {
     val fzero = factors.map(_.copy)
     fzero(0)(2, 1) = 0.0
-    val fdz = fzero.map(f => (f.cols, f.data))
+    val fdz = TuckerKernels.factorData(fzero)
     val idx = Array(2, 1, 0)
     val pres = PTucker.computePres(idx, fdz, cc) // some cells are exactly 0
     val viaCache = PTucker.deltaFromPres(idx, pres, 0, ranks(0), fdz, cc)
@@ -89,11 +89,10 @@ class PTuckerRuleSpec extends AnyFunSuite {
   test("patchPres: after a factor update, patched Pres equals fresh recomputation") {
     val updated = factors.map(_.copy)
     updated(1) = DenseMatrix.rand(dims(1), ranks(1), 999)
-    val fdNew = updated.map(f => (f.cols, f.data))
+    val fdNew = TuckerKernels.factorData(updated)
     for ((idx, _) <- entries.take(10)) {
       val old = PTucker.computePres(idx, fd, cc)
-      val patched = PTucker.patchPres(idx, old, 1,
-        (factors(1).cols, factors(1).data), (updated(1).cols, updated(1).data), cc, fdNew)
+      val patched = PTucker.patchPres(idx, old, 1, fd(1), cc, fdNew)
       val fresh = PTucker.computePres(idx, fdNew, cc)
       assert(patched.zip(fresh).forall { case (a, b) => math.abs(a - b) < 1e-9 })
     }

@@ -126,6 +126,56 @@ class PTuckerSpec extends SparkSpec {
     }
   }
 
+  /** A tensor without data: `fit` on it fails with a NullPointerException as
+    * soon as it reads entries, so an IllegalArgumentException shows that a
+    * check ran before any job.
+    */
+  private val noData = SparseTensor(Array(10, 9, 8), null)
+
+  test("config validation: negative lambda is rejected before any job runs") {
+    intercept[IllegalArgumentException] {
+      PTucker.fit(spark, noData, baseConfig.copy(lambda = -0.01))
+    }
+  }
+
+  test("config validation: truncationRate outside [0, 1) is rejected before any job runs") {
+    for (p <- Seq(-0.1, 1.0, Double.NaN)) {
+      intercept[IllegalArgumentException] {
+        PTucker.fit(spark, noData, baseConfig.copy(variant = PTuckerVariant.Approx, truncationRate = p))
+      }
+    }
+  }
+
+  test("a non-finite reconstruction error fails the fit, naming iteration and variant") {
+    // The 1e200 entry alone fills row 0 of both modes. Mode 0 scales its
+    // row to ~1e200, so mode 1 sees δ² = Inf; J = 1 keeps that solve from
+    // tripping the singular-pivot check, and the error of iteration 1 is NaN.
+    val rng = new scala.util.Random(4)
+    val entries = (0 until 40).map(_ => (Array(1 + rng.nextInt(5), 1 + rng.nextInt(5)), rng.nextDouble())) :+
+      (Array(0, 0), 1e200)
+    val t = SparseTensor.fromEntries(spark, Array(6, 6), entries)
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    val e = intercept[IllegalStateException] {
+      PTucker.fit(spark, t, PTuckerConfig(ranks = Array(1, 1), maxIters = 5, partitions = 2))
+    }
+    assert(e.getMessage.contains("iteration 1") && e.getMessage.contains("Default"), e.getMessage)
+    assert((sc.getPersistentRDDs.keySet -- before).isEmpty, "a failed fit left RDDs persisted")
+  }
+
+  test("fit leaves no RDD persisted, for every variant") {
+    planted.nnz // the input's own cache is built before the snapshot
+    val sc = spark.sparkContext
+    for (v <- Seq(PTuckerVariant.Default, PTuckerVariant.Cache, PTuckerVariant.Approx)) {
+      val before = sc.getPersistentRDDs.keySet
+      PTucker.fit(spark, planted, baseConfig.copy(variant = v, maxIters = 2))
+      // only new ids count: persisted RDDs are weakly held, so the cleaner
+      // may drop unreachable ones of earlier suites meanwhile
+      val leaked = sc.getPersistentRDDs.keySet -- before
+      assert(leaked.isEmpty, s"$v left RDDs ${leaked.mkString(", ")} persisted")
+    }
+  }
+
   test("computeRBeta matches the literal Eq. (14) error difference") {
     val t = plantedTensor(nnz = 120, seed = 11)
     val entries = t.collectEntries()
