@@ -10,19 +10,16 @@ import repro.exp.{Harness, ScalabilityExperiments => S}
 class Fig10ThreadScalingBench extends SparkSpec {
 
   test("Fig 10: speed-up grows with partitions; memory model is linear in T") {
-    val rows = S.fig10Threads(spark)
-    Harness.emit(Harness.table(
-      "Fig 10 — thread scalability (paper: near-linear speed-up and memory up to T=20)",
-      Seq("Threads", "ms/iter", "speed-up", "intermediate data"), rows))
-    def speedup(r: Seq[String]) = r(2).replace("x", "").toDouble
-    assert(speedup(rows.head) == 1.0)
+    val report = S.fig10Threads(spark)
+    Harness.emit(report.markdown)
+    val rows = report.rows
+    assert(rows.head.speedup == 1.0)
     // more workers must help substantially by T=16 (JVM+Spark overheads keep
     // it below the paper's near-perfect line; shape is what we check)
-    assert(speedup(rows.last) > 2.0, s"T=16 speed-up ${rows.last}")
+    assert(rows.last.speedup > 2.0, s"T=16 speed-up ${rows.last}")
     // monotone non-degrading overall trend: best speed-up at max T
-    assert(rows.map(speedup).max == speedup(rows.last) || speedup(rows.last) > 3.0)
-    // memory model strictly linear in T (2% slack for formatting rounding)
-    def kib(r: Seq[String]) = r(3).replace(" KiB", "").toDouble
-    assert(math.abs(kib(rows.last) / kib(rows.head) - 16.0) < 0.32)
+    assert(rows.map(_.speedup).max == rows.last.speedup || rows.last.speedup > 3.0)
+    // memory model strictly linear in T (2% slack)
+    assert(math.abs(rows.last.kib / rows.head.kib - 16.0) < 0.32)
   }
 }

@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{Harness, RealWorldExperiments => R}
+import repro.exp.{Harness, Method, RealWorldExperiments => R}
 
 /** Fig 7 (Section IV-B2): time per iteration on the real-world substitutes.
   * Paper shape: P-Tucker / P-Tucker-Approx fastest; wOPT O.O.M. on the two
@@ -10,18 +10,15 @@ import repro.exp.{Harness, RealWorldExperiments => R}
 class Fig7RealWorldSpeedBench extends SparkSpec {
 
   test("Fig 7: speed on real-world substitutes — O.O.M. pattern matches the paper") {
-    val rows = R.fig7Speed(spark)
-    Harness.emit(Harness.table(
-      "Fig 7 — time/iter on real-world substitutes (paper: P-Tucker 1.7-275x faster; wOPT O.O.M. on Yahoo+MovieLens)",
-      Seq("Dataset", "P-Tucker", "P-Tucker-Approx", "S-HOT_scan", "Tucker-CSF", "Tucker-wOPT"),
-      rows))
-    val byName = rows.map(r => r.head -> r).toMap
+    val report = R.fig7Speed(spark)
+    Harness.emit(report.markdown)
+    val wopt = report.rows.map(r => r.label -> r.ms(Method.Wopt)).toMap
     // wOPT: O.O.M. exactly on the two large rating tensors
-    assert(byName("Yahoo-music*")(5) == "O.O.M.")
-    assert(byName("MovieLens*")(5) == "O.O.M.")
-    assert(byName("Video (Wave)*")(5) != "O.O.M.")
-    assert(byName("Image (Lena)*")(5) != "O.O.M.")
+    assert(wopt("Yahoo-music*").isEmpty)
+    assert(wopt("MovieLens*").isEmpty)
+    assert(wopt("Video (Wave)*").isDefined)
+    assert(wopt("Image (Lena)*").isDefined)
     // P-Tucker finishes everywhere
-    rows.foreach(r => assert(r(1) != "O.O.M.", s"P-Tucker OOM on ${r.head}"))
+    report.rows.foreach(r => assert(r.ms(Method.PTuckerDefault).isDefined, s"P-Tucker OOM on ${r.label}"))
   }
 }

@@ -10,18 +10,14 @@ import repro.exp.{Harness, ScalabilityExperiments => S}
 class Fig8CacheBench extends SparkSpec {
 
   test("Fig 8: cache variant uses orders more intermediate memory; gap grows with order") {
-    val rows = S.fig8Cache(spark)
-    Harness.emit(Harness.table(
-      "Fig 8 — P-Tucker vs P-Tucker-Cache (paper: cache up to 1.7x faster, 29.5x more memory at N=10)",
-      Seq("Order", "P-Tucker ms/iter", "P-Tucker interm.", "Cache ms/iter", "Cache interm."),
-      rows))
-    def kib(s: String): Double = s.replace(" KiB", "").toDouble
-    rows.foreach { r =>
-      assert(kib(r(4)) > 10.0 * kib(r(2)),
-        s"cache table should dwarf the O(T·J²) data at ${r.head}: ${r(2)} vs ${r(4)}")
+    val report = S.fig8Cache(spark)
+    Harness.emit(report.markdown)
+    report.rows.foreach { r =>
+      assert(r.cacheKiB > 10.0 * r.defaultKiB,
+        s"cache table should dwarf the O(T·J²) data at N=${r.order}: ${r.defaultKiB} vs ${r.cacheKiB} KiB")
     }
     // memory ratio grows with order (J^N vs J²)
-    val ratios = rows.map(r => kib(r(4)) / kib(r(2)))
+    val ratios = report.rows.map(r => r.cacheKiB / r.defaultKiB)
     assert(ratios.last > ratios.head, s"memory gap should widen with order: $ratios")
   }
 }

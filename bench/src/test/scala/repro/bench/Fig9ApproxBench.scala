@@ -10,21 +10,19 @@ import repro.exp.{Harness, ScalabilityExperiments => S}
 class Fig9ApproxBench extends SparkSpec {
 
   test("Fig 9: Approx iterations get cheaper as the core shrinks; fit trades off") {
-    val rows = S.fig9Approx(spark, iters = 12)
-    Harness.emit(Harness.table(
-      "Fig 9 — per-iteration time and fit (paper: Approx overtakes default by iter ~8, lower fit)",
-      Seq("Iter", "Default ms", "Default fit", "Approx ms", "Approx fit", "|G|"), rows))
-    val coreSizes = rows.map(_(5).toInt)
+    val report = S.fig9Approx(spark, iters = 12)
+    Harness.emit(report.markdown)
+    val rows = report.rows
+    val coreSizes = rows.map(_.approx.coreNnz)
     assert(coreSizes.head < 512 && coreSizes.last < coreSizes.head,
       s"core should shrink monotonically-ish: $coreSizes")
-    def ms(s: String) = s.replace(" ms", "").toDouble
-    val defLast3 = rows.takeRight(3).map(r => ms(r(1))).sum / 3
-    val apxLast3 = rows.takeRight(3).map(r => ms(r(3))).sum / 3
+    val defLast3 = rows.takeRight(3).map(_.default.millis.toDouble).sum / 3
+    val apxLast3 = rows.takeRight(3).map(_.approx.millis.toDouble).sum / 3
     assert(apxLast3 < defLast3,
       s"late Approx iterations should be cheaper: approx $apxLast3 vs default $defLast3")
     // default keeps a full core throughout
-    val defFitLast = rows.last(2).toDouble
-    val apxFitLast = rows.last(4).toDouble
+    val defFitLast = rows.last.default.fit
+    val apxFitLast = rows.last.approx.fit
     assert(defFitLast >= apxFitLast - 0.02,
       s"default fit should not be materially below approx: $defFitLast vs $apxFitLast")
   }

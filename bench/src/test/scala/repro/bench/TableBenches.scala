@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{DiscoveryExperiments => D, Harness, RealWorldExperiments => R, ScalabilityExperiments => S}
+import repro.exp.{DiscoveryExperiments => D, Harness, Method, RealWorldExperiments => R, ScalabilityExperiments => S}
 
 /** Table I (Section I): the scalability matrix, measured rather than
   * asserted. Paper: P-Tucker checks all four boxes; wOPT only accuracy;
@@ -10,16 +10,16 @@ import repro.exp.{DiscoveryExperiments => D, Harness, RealWorldExperiments => R,
 class Table1ScalabilityMatrixBench extends SparkSpec {
 
   test("Table I: measured matrix matches the paper's check-mark pattern") {
-    val rows = R.table1Matrix(spark)
-    Harness.emit(Harness.table("Table I — scalability matrix (measured; paper pattern in doc comment)",
-      Seq("Method", "Scale", "Speed", "Memory", "Accuracy"), rows))
-    val byName = rows.map(r => r.head -> r).toMap
-    assert(byName("P-Tucker").drop(1) == Seq("yes", "yes", "yes", "yes"))
-    assert(byName("Tucker-wOPT")(4) == "yes", "wOPT is the accuracy-focused method")
-    assert(byName("Tucker-wOPT")(1) == "-", "wOPT cannot scale (dense O(I^N))")
-    assert(byName("S-HOT_scan")(3) == "yes")
-    assert(byName("S-HOT_scan")(4) == "-", "zero-filled methods are inaccurate on sparse data")
-    assert(byName("Tucker-CSF")(4) == "-")
+    val report = R.table1Matrix(spark)
+    Harness.emit(report.markdown)
+    val byMethod = report.rows.map(r => r.method -> r).toMap
+    val pt = byMethod(Method.PTuckerDefault)
+    assert(pt.scale && pt.speed && pt.memory && pt.accuracy)
+    assert(byMethod(Method.Wopt).accuracy, "wOPT is the accuracy-focused method")
+    assert(!byMethod(Method.Wopt).scale, "wOPT cannot scale (dense O(I^N))")
+    assert(byMethod(Method.SHot).memory)
+    assert(!byMethod(Method.SHot).accuracy, "zero-filled methods are inaccurate on sparse data")
+    assert(!byMethod(Method.Csf).accuracy)
   }
 }
 
@@ -27,20 +27,18 @@ class Table1ScalabilityMatrixBench extends SparkSpec {
 class Table3ComplexityBench extends SparkSpec {
 
   test("Table III: measured time ratios track the O(NIJ^3 + N^2|Ω|J^N) model") {
-    val rows = S.table3Complexity(spark)
-    Harness.emit(Harness.table(
-      "Table III — P-Tucker time vs complexity model (measured vs predicted growth)",
-      Seq("Variation", "ms/iter", "measured ratio", "predicted ratio"), rows))
-    def ratio(r: Seq[String]) = r(2).replace("x", "").toDouble
-    val byLabel = rows.map(r => r.head -> r).toMap
+    val report = S.table3Complexity(spark)
+    Harness.emit(report.markdown)
+    val byLabel = report.rows.map(r => r.label -> r).toMap
+    def ratio(label: String) = byLabel(label).measured
     // doubling |Ω| roughly doubles the work (within Spark overhead slack)
-    assert(ratio(byLabel("|Ω| x2")) > 1.3, s"|Ω| x2: ${byLabel("|Ω| x2")}")
+    assert(ratio("|Ω| x2") > 1.3, s"|Ω| x2: ${byLabel("|Ω| x2")}")
     // J 6→12 is the dominant J^N blow-up: must be clearly superlinear
-    assert(ratio(byLabel("J 6→12")) > 3.0, s"J: ${byLabel("J 6→12")}")
+    assert(ratio("J 6→12") > 3.0, s"J: ${byLabel("J 6→12")}")
     // I x4 leaves the |Ω|J^N term untouched: must NOT scale like I
-    assert(ratio(byLabel("I x4")) < 3.0, s"I: ${byLabel("I x4")}")
+    assert(ratio("I x4") < 3.0, s"I: ${byLabel("I x4")}")
     // N 3→4 multiplies the per-entry core work by ~J·(N growth)
-    assert(ratio(byLabel("N 3→4")) > 2.0, s"N: ${byLabel("N 3→4")}")
+    assert(ratio("N 3→4") > 2.0, s"N: ${byLabel("N 3→4")}")
   }
 }
 
@@ -48,15 +46,14 @@ class Table3ComplexityBench extends SparkSpec {
 class Table4DatasetsBench extends SparkSpec {
 
   test("Table IV: substitute datasets have the documented shapes") {
-    val rows = R.table4(spark)
-    Harness.emit(Harness.table("Table IV — datasets (ours* vs paper originals)",
-      Seq("Name", "Order", "Dims", "|Ω|", "Rank", "Paper dims", "Paper |Ω|", "Paper rank"), rows))
-    val byName = rows.map(r => r.head -> r).toMap
-    assert(byName("Yahoo-music*")(1) == "4")
-    assert(byName("MovieLens*")(1) == "4")
-    assert(byName("Video (Wave)*")(2) == "(112, 160, 3, 32)", "video keeps the paper's dims")
-    assert(byName("Image (Lena)*")(2) == "(256, 256, 3)", "image keeps the paper's dims")
-    rows.foreach(r => assert(r(3).toLong > 1000, s"${r.head} too small"))
+    val report = R.table4(spark)
+    Harness.emit(report.markdown)
+    val byName = report.rows.map(r => r.dataset.name -> r.dataset.tensor).toMap
+    assert(byName("Yahoo-music*").order == 4)
+    assert(byName("MovieLens*").order == 4)
+    assert(byName("Video (Wave)*").dims.toSeq == Seq(112, 160, 3, 32), "video keeps the paper's dims")
+    assert(byName("Image (Lena)*").dims.toSeq == Seq(256, 256, 3), "image keeps the paper's dims")
+    report.rows.foreach(r => assert(r.nnz > 1000, s"${r.dataset.name} too small"))
   }
 }
 
@@ -68,21 +65,17 @@ class Table5And6DiscoveryBench extends SparkSpec {
   private lazy val model = D.fitModel(spark)
 
   test("Table V: K-means concepts recover planted genres") {
-    val (rows, purity) = D.table5Concepts(model)
-    Harness.emit(Harness.table(
-      f"Table V — movie concepts (overall purity $purity%.2f; paper found Thriller/Comedy/Drama)",
-      Seq("Concept", "Size", "Purity", "Sample movies"), rows))
+    val (report, purity) = D.table5Concepts(model)
+    Harness.emit(report.markdown)
     assert(purity > 0.5, s"genre purity $purity")
-    assert(rows.nonEmpty && rows.head(2).toDouble > 0.5,
-      s"largest concept should be genre-dominated: ${rows.headOption}")
+    assert(report.rows.nonEmpty && report.rows.head.concept.purity > 0.5,
+      s"largest concept should be genre-dominated: ${report.rows.headOption}")
   }
 
   test("Table VI: top core cells align with planted genre-hour relations") {
-    val (rows, aligned) = D.table6Relations(model)
-    Harness.emit(Harness.table(
-      s"Table VI — relations ($aligned/3 aligned; paper found Drama-Hour, Comedy-Year, Year-Hour)",
-      Seq("Relation", "G value", "Genre", "Top hours", "Top years", "Alignment"), rows))
-    assert(rows.size == 3)
+    val (report, aligned) = D.table6Relations(model)
+    Harness.emit(report.markdown)
+    assert(report.rows.size == 3)
     assert(aligned >= 1, s"at least one top relation should match planted hours; got $aligned")
   }
 }

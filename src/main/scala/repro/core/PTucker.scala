@@ -70,8 +70,7 @@ object PTucker {
     val entries = tensor.entriesRdd(T).persist(StorageLevel.MEMORY_AND_DISK)
     var pres: RDD[(TensorEntry, Array[Double])] = null
     try {
-      val nnz = entries.count()
-      require(nnz > 0, "empty tensor")
+      require(entries.count() > 0, "empty tensor")
       val normX = tensor.frobeniusNorm
 
       // Line 1 of Algorithm 2: Uniform(0,1) init of factors and core.
@@ -184,10 +183,7 @@ object PTucker {
         }
       }
 
-      TuckerModel(tensor.dims, config.ranks, factors, core, history,
-        meta = Map(
-          "partitions" -> T.toDouble,
-          "intermediateDoubles" -> intermediateDoubles(config, T, nnz).toDouble))
+      TuckerModel(tensor.dims, config.ranks, factors, core, history)
     } finally {
       entries.unpersist(blocking = false)
       if (pres != null) pres.unpersist(blocking = false)

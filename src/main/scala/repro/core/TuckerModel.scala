@@ -18,8 +18,7 @@ final case class IterStat(iter: Int, millis: Long, error: Double, fit: Double, c
   */
 final case class TuckerModel(dims: Array[Int], ranks: Array[Int],
                              factors: Array[DenseMatrix], core: CoreTensor,
-                             history: Vector[IterStat],
-                             meta: Map[String, Double] = Map.empty) {
+                             history: Vector[IterStat]) {
 
   def order: Int = dims.length
 

@@ -3,7 +3,7 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import repro.TensorGen
 import repro.core.{PTucker, PTuckerConfig, TuckerModel}
-import repro.discovery.{ConceptDiscovery, RelationDiscovery}
+import repro.discovery.{Concept, ConceptDiscovery, Relation, RelationDiscovery}
 
 /** Section-V experiments: Table V (concept discovery) and Table VI
   * (relation discovery) on the MovieLens-like tensor with *planted* genre /
@@ -30,41 +30,52 @@ object DiscoveryExperiments {
 
   private def genreName(g: Int) = TensorGen.Genres(g)
 
+  /** Table V row: the `rank`-th largest K-means cluster of movies. */
+  final case class ConceptRow(rank: Int, concept: Concept)
+
   /** Table V: K-means clusters over the movie-mode factor rows, with the
-    * planted genre as ground truth. Returns (rows, overall purity).
+    * planted genre as ground truth. Returns (report, overall purity).
     */
-  def table5Concepts(model: TuckerModel, k: Int = 12): (Seq[Seq[String]], Double) = {
+  def table5Concepts(model: TuckerModel, k: Int = 12): (Report[ConceptRow], Double) = {
     val labels = Array.tabulate(Movies)(m => TensorGen.movieGenre(m, Movies))
     val movieFactor = model.factors(1)
     val purity = ConceptDiscovery.overallPurity(movieFactor, k, labels)
     val concepts = ConceptDiscovery.concepts(movieFactor, k, labels, samplesPerCluster = 3)
-    val rows = concepts.take(6).zipWithIndex.map { case (c, i) =>
-      Seq(s"C${i + 1}: ${genreName(c.dominantLabel)}", c.size.toString,
+    val rows = concepts.take(6).zipWithIndex.map { case (c, i) => ConceptRow(i + 1, c) }
+    val report = Report(f"Table V — movie concepts (overall purity $purity%.2f; paper found Thriller/Comedy/Drama)",
+      Seq("Concept", "Size", "Purity", "Sample movies"), rows) { case ConceptRow(i, c) =>
+      Seq(s"C$i: ${genreName(c.dominantLabel)}", c.size.toString,
         f"${c.purity}%.2f", c.sampleIndices.map(m => s"movie#$m").mkString(", "))
     }
-    (rows, purity)
+    (report, purity)
   }
 
-  /** Table VI: the top-|G|-value core cells read as relations between the
-    * implicated factor columns; alignment = overlap of the hour-mode
-    * column's top hours with the planted preferred hours of the genre that
-    * dominates the movie-mode column. Returns (rows, #aligned of topK).
+  /** Table VI row: one top core cell, the genre dominating its movie-mode
+    * column, and how many of that genre's planted hours are among the
+    * hour-mode column's top hours.
     */
-  def table6Relations(model: TuckerModel, topK: Int = 3): (Seq[Seq[String]], Int) = {
+  final case class RelationRow(rank: Int, relation: Relation, genre: Int, plantedHours: Int)
+
+  /** Table VI: the top-|G|-value core cells read as relations between the
+    * implicated factor columns; a relation is aligned when at least two of
+    * the planted preferred hours of the genre that dominates the movie-mode
+    * column are among the hour-mode column's top hours. Returns
+    * (report, #aligned of topK).
+    */
+  def table6Relations(model: TuckerModel, topK: Int = 3): (Report[RelationRow], Int) = {
     val rels = RelationDiscovery.topRelations(model, topK, attrsPerMode = 5)
-    var aligned = 0
     val rows = rels.zipWithIndex.map { case (r, i) =>
-      val genreOfTop = r.topAttributes(1).map(m => TensorGen.movieGenre(m, Movies))
+      val genre = r.topAttributes(1).map(m => TensorGen.movieGenre(m, Movies))
         .groupBy(identity).maxBy(_._2.length)._1
-      val topHours = r.topAttributes(3).toSeq
-      val topYears = r.topAttributes(2).toSeq
-      val planted = TensorGen.GenreHours(genreOfTop)
-      val overlap = planted.count(topHours.contains)
-      if (overlap >= 2) aligned += 1
-      Seq(s"R${i + 1}", f"${r.value}%.2f", genreName(genreOfTop),
-        topHours.mkString("hours{", ",", "}"), topYears.mkString("years{", ",", "}"),
-        s"$overlap/5 planted hours")
+      RelationRow(i + 1, r, genre, TensorGen.GenreHours(genre).count(r.topAttributes(3).contains))
     }
-    (rows, aligned)
+    val aligned = rows.count(_.plantedHours >= 2)
+    val report = Report(s"Table VI — relations ($aligned/$topK aligned; paper found Drama-Hour, Comedy-Year, Year-Hour)",
+      Seq("Relation", "G value", "Genre", "Top hours", "Top years", "Alignment"), rows) { r =>
+      Seq(s"R${r.rank}", f"${r.relation.value}%.2f", genreName(r.genre),
+        r.relation.topAttributes(3).mkString("hours{", ",", "}"),
+        r.relation.topAttributes(2).mkString("years{", ",", "}"), s"${r.plantedHours}/5 planted hours")
+    }
+    (report, aligned)
   }
 }

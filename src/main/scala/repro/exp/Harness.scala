@@ -25,12 +25,45 @@ object Method {
   */
 final case class RunResult(method: Method, model: Option[TuckerModel], oom: Boolean) {
   def msPerIter: Option[Double] = model.map(_.avgMillisPerIter)
-  def cell: String = msPerIter.map(ms => f"$ms%.0f ms").getOrElse("O.O.M.")
+}
+
+/** One paper table or figure: its title, column headers and typed rows.
+  * `cells` is the only place a row becomes text; benches assert on `rows`.
+  */
+final case class Report[R](title: String, headers: Seq[String], rows: Seq[R])(cells: R => Seq[String]) {
+  def markdown: String = Harness.table(title, headers, rows.map(cells))
+}
+
+/** The cell formats shared by every report. */
+object Report {
+  /** Time per iteration; `None` is the paper's O.O.M. */
+  def ms(t: Option[Double]): String = orOom(t)(v => f"$v%.0f ms")
+  def ratio(x: Double): String = f"$x%.2fx"
+  def kib(x: Double, decimals: Int): String = s"%.${decimals}f KiB".format(x)
+  def orOom(v: Option[Double])(format: Double => String): String = v.fold("O.O.M.")(format)
+}
+
+/** One row of a time-per-iteration table: each method's mean ms/iter,
+  * `None` where it hit O.O.M.
+  */
+final case class TimeRow(label: String, ms: Map[Method, Option[Double]])
+
+object TimeRow {
+  /** Runs every method on `t`, persisted for the duration of the row. */
+  def measure(spark: SparkSession, label: String, t: SparseTensor, methods: Seq[Method],
+              ranks: Array[Int], iters: Int): TimeRow = {
+    t.persisted()
+    try TimeRow(label, methods.map(m => m -> Harness.run(spark, m, t, ranks, iters).msPerIter).toMap)
+    finally t.unpersist()
+  }
+
+  def report(title: String, first: String, methods: Seq[Method], rows: Seq[TimeRow]): Report[TimeRow] =
+    Report(title, first +: methods.map(_.name), rows)(r => r.label +: methods.map(m => Report.ms(r.ms(m))))
 }
 
 /** Shared experiment machinery: run-one-method dispatch and markdown table
-  * rendering (bench suites print these tables; EXPERIMENTS.md records them
-  * next to the paper's numbers).
+  * rendering (bench suites and [[Main]] print these tables; EXPERIMENTS.md
+  * records them next to the paper's numbers).
   */
 object Harness {
 

@@ -180,21 +180,6 @@ object DenseMatrix {
     out
   }
 
-  /** `M^{-1}` via column-wise solves. */
-  def inverse(m: DenseMatrix): DenseMatrix = {
-    val n = m.rows
-    val out = zeros(n, n)
-    val e = new Array[Double](n)
-    var j = 0
-    while (j < n) {
-      java.util.Arrays.fill(e, 0.0); e(j) = 1.0
-      val col = solve(m, e)
-      var i = 0; while (i < n) { out(i, j) = col(i); i += 1 }
-      j += 1
-    }
-    out
-  }
-
   /** Thin QR (`A = Q·R`, Q: rows×cols column-orthonormal, R: cols×cols upper
     * triangular) via modified Gram-Schmidt. Rank-deficient columns get a
     * deterministic replacement direction so Q stays orthonormal (the paper's

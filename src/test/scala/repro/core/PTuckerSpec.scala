@@ -49,11 +49,6 @@ class PTuckerSpec extends SparkSpec {
       s"orthogonalization changed error: $before -> $after")
   }
 
-  test("meta reports partitions and the O(T·J²) intermediate model") {
-    assert(defaultModel.meta("partitions") == 4.0)
-    assert(defaultModel.meta("intermediateDoubles") == 4 * (2 * 4 + 2 * 2).toDouble)
-  }
-
   test("converges early when tol is loose") {
     val m = PTucker.fit(spark, planted, baseConfig.copy(tol = 0.5, maxIters = 12))
     assert(m.history.size < 12)

@@ -28,14 +28,6 @@ object DenseMatrixProps extends Properties("DenseMatrix") {
       }
     }
 
-  property("inverse is two-sided") =
-    Prop.forAll(dimGen, seedGen) { (n, seed) =>
-      val m = spd(n, seed)
-      val inv = DenseMatrix.inverse(m)
-      (m * inv).maxAbsDiff(DenseMatrix.eye(n)) < 1e-7 &&
-        (inv * m).maxAbsDiff(DenseMatrix.eye(n)) < 1e-7
-    }
-
   property("QR reproduces A with orthonormal Q") =
     Prop.forAll(dimGen, seedGen) { (c, seed) =>
       val a = DenseMatrix.rand(c + 4, c, seed)

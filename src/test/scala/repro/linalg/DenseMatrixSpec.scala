@@ -88,14 +88,6 @@ class DenseMatrixSpec extends AnyFunSuite {
     intercept[IllegalArgumentException] { DenseMatrix.solve(m, Array(1.0, 1.0)) }
   }
 
-  test("inverse: A * A^-1 = I") {
-    for (n <- 1 to 10; seed <- Seq(3L, 99L)) {
-      val m = spd(n, seed)
-      val inv = DenseMatrix.inverse(m)
-      assert((m * inv).maxAbsDiff(DenseMatrix.eye(n)) < 1e-8)
-    }
-  }
-
   test("qr: Q has orthonormal columns and QR = A") {
     for (c <- 1 to 8; seed <- Seq(5L, 123L)) {
       val r0 = c + 3
