@@ -1,16 +1,20 @@
 package repro.baselines
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
-import repro.core.TuckerKernels
+import org.apache.spark.storage.StorageLevel
+import repro.core.{IterStat, TuckerKernels, TuckerModel}
+import repro.core.TuckerKernels.FactorData
 import repro.linalg.DenseMatrix
 import repro.tensor.{CoreEntry, CoreTensor, DenseTensor, SparseTensor, TensorEntry}
 
 /** Shared machinery for the sparse zero-filled HOOI competitors
-  * ([[SHotScan]], [[TuckerCsf]]): both produce the TTMc rows
-  * `y_{i_n} = Σ_{α ∈ Ω^(n)_{i_n}} x_α · (⊗_{k≠n} a^(k)_{i_k,:})`
-  * (each by its own strategy) and then need the `J_n` leading left singular
-  * vectors of the implicit `Y_(n)` without materializing it on the driver.
+  * ([[SHotScan]], [[TuckerCsf]]): both run the same [[HooiCommon.sweep]] and
+  * differ only in how they produce the TTMc rows
+  * `y_{i_n} = Σ_{α ∈ Ω^(n)_{i_n}} x_α · (⊗_{k≠n} a^(k)_{i_k,:})`; the sweep
+  * then needs the `J_n` leading left singular vectors of the implicit
+  * `Y_(n)` without materializing it on the driver.
   *
   * The factorization path is the scan-friendly Gram route: `M = Y_(n)ᵀY_(n)`
   * (`L×L`, `L = ∏_{k≠n} J_k` — small) accumulated by `treeAggregate`, a
@@ -20,17 +24,59 @@ import repro.tensor.{CoreEntry, CoreTensor, DenseTensor, SparseTensor, TensorEnt
   */
 object HooiCommon {
 
-  /** Kronecker index layout for `⊗_{k≠n}`: position of a core multi-index
-    * restricted to modes ≠ n, with mode order ascending and the *first*
-    * non-n mode fastest-varying (matches `DenseTensor`'s column-major walk).
+  /** Algorithm 1 with zeros for missing entries: QR-initialised random
+    * factors, `maxIters` sweeps that each update every mode from the rows
+    * `ttmcRows` builds, then the core by one scan. The entries are persisted
+    * once for the whole fit and released, with the live broadcast, even when
+    * the fit throws.
+    *
+    * @param ttmcRows the method's TTMc row builder: `(entries, mode, kronLen,
+    *                 factors)` → `(i_n, y)` pairs whose sums per `i_n` are
+    *                 the rows of `Y_(n)` (length `kronLen = ∏_{k≠n} J_k`);
+    *                 a row may arrive as several partial sums.
     */
-  def kronOffset(idx: Array[Int], ranks: Array[Int], n: Int): Int = {
-    var off = 0; var stride = 1; var k = 0
-    while (k < ranks.length) {
-      if (k != n) { off += idx(k) * stride; stride *= ranks(k) }
-      k += 1
+  def sweep(spark: SparkSession, tensor: SparseTensor, ranks: Array[Int], maxIters: Int,
+            partitions: Int, seed: Long)
+           (ttmcRows: (RDD[TensorEntry], Int, Int, Broadcast[FactorData]) => RDD[(Int, Array[Double])])
+      : TuckerModel = {
+    val order = tensor.order
+    require(ranks.length == order)
+    val sc = spark.sparkContext
+    val T = if (partitions > 0) partitions else sc.defaultParallelism
+    val entries = tensor.entriesRdd(T).persist(StorageLevel.MEMORY_AND_DISK)
+    var bF: Broadcast[FactorData] = null
+    try {
+      entries.count()
+      val factors = Array.tabulate(order)(n =>
+        DenseMatrix.qr(DenseMatrix.rand(tensor.dims(n), ranks(n), seed + n))._1)
+      var history = Vector.empty[IterStat]
+      var it = 0
+      while (it < maxIters) {
+        val t0 = System.nanoTime()
+        var n = 0
+        while (n < order) {
+          val kronLen = ranks.indices.filter(_ != n).map(ranks).product
+          bF = sc.broadcast(TuckerKernels.factorData(factors))
+          val rows = ttmcRows(entries, n, kronLen, bF).reduceByKey(addInto)
+          factors(n) = factorFromRows(spark, rows, tensor.dims(n), kronLen, ranks(n))
+          bF.destroy(); bF = null
+          n += 1
+        }
+        history :+= IterStat(it + 1, (System.nanoTime() - t0) / 1000000L,
+          Double.NaN, Double.NaN, ranks.product)
+        it += 1
+      }
+      val core = coreFromEntries(spark, entries, factors, ranks)
+      TuckerModel(tensor.dims, ranks, factors, core, history)
+    } finally {
+      entries.unpersist(blocking = false)
+      if (bF != null) bF.destroy()
     }
-    off
+  }
+
+  /** `x += y`, elementwise; returns `x`. */
+  private def addInto(x: Array[Double], y: Array[Double]): Array[Double] = {
+    var i = 0; while (i < x.length) { x(i) += y(i); i += 1 }; x
   }
 
   /** `x · (⊗_{k≠n} a^(k)_{i_k,:})` accumulated into `acc` (length
@@ -82,9 +128,7 @@ object HooiCommon {
         }
         acc
       },
-      combOp = { (x, y) =>
-        var i = 0; while (i < x.length) { x(i) += y(i); i += 1 }; x
-      })
+      combOp = addInto)
     val (vals, vecs) = DenseMatrix.symEigen(new DenseMatrix(kronLen, kronLen, m))
     val vr = Array.tabulate(rank) { j =>
       val sigma = math.sqrt(math.max(vals(j), 0.0))
@@ -135,14 +179,8 @@ object HooiCommon {
         }
         acc
       },
-      combOp = { (x, y) =>
-        var i = 0; while (i < x.length) { x(i) += y(i); i += 1 }; x
-      })
+      combOp = addInto)
     bF.destroy(); bCells.destroy()
     new CoreTensor(ranks.clone(), cells.zip(g).map { case (idx, v) => CoreEntry(idx, v) })
   }
-
-  /** Frobenius norm of entries via RDD (zero-filled semantics). */
-  def norm(entries: RDD[TensorEntry]): Double =
-    math.sqrt(entries.map(e => e.value * e.value).treeReduce(_ + _))
 }

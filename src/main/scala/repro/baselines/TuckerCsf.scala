@@ -1,9 +1,7 @@
 package repro.baselines
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.storage.StorageLevel
-import repro.core.{IterStat, TuckerKernels, TuckerModel}
-import repro.linalg.DenseMatrix
+import repro.core.TuckerModel
 import repro.tensor.{SparseTensor, TensorEntry}
 import scala.collection.mutable
 
@@ -17,49 +15,17 @@ import scala.collection.mutable
   * Spark analog: each partition sorts its entries lexicographically by the
   * non-target modes and walks them with a stack of partial Kronecker
   * vectors (longest-common-prefix reuse ≙ the CSF tree walk), emitting
-  * accumulated `Y_(n)` rows that are merged by `reduceByKey`. The SVD path
-  * is the shared Gram route of [[HooiCommon]]. Must numerically match
-  * [[TuckerHooi]] (`TuckerCsfSpec` checks).
+  * accumulated `Y_(n)` rows that [[HooiCommon.sweep]] merges by
+  * `reduceByKey`. The SVD path is the shared Gram route of [[HooiCommon]].
+  * Must numerically match `TuckerHooi` (`TuckerCsfSpec` checks).
   */
 object TuckerCsf {
 
   def fit(spark: SparkSession, tensor: SparseTensor, ranks: Array[Int],
-          maxIters: Int = 20, partitions: Int = 0, seed: Long = 17): TuckerModel = {
-    val order = tensor.order
-    require(ranks.length == order)
-    val T = if (partitions > 0) partitions else spark.sparkContext.defaultParallelism
-    val entries = tensor.entriesRdd(T).persist(StorageLevel.MEMORY_AND_DISK)
-    entries.count()
-
-    val factors = Array.tabulate(order)(n =>
-      DenseMatrix.qr(DenseMatrix.rand(tensor.dims(n), ranks(n), seed + n))._1)
-
-    var history = Vector.empty[IterStat]
-    var it = 0
-    while (it < maxIters) {
-      val t0 = System.nanoTime()
-      var n = 0
-      while (n < order) {
-        val kronLen = ranks.indices.filter(_ != n).map(ranks).product
-        val bF = spark.sparkContext.broadcast(TuckerKernels.factorData(factors))
-        val mode = n
-        val rows = entries
-          .mapPartitions { part => csfTtmcRows(part, mode, kronLen, bF.value) }
-          .reduceByKey { (x, y) =>
-            var i = 0; while (i < x.length) { x(i) += y(i); i += 1 }; x
-          }
-        factors(n) = HooiCommon.factorFromRows(spark, rows, tensor.dims(n), kronLen, ranks(n))
-        bF.destroy()
-        n += 1
-      }
-      history :+= IterStat(it + 1, (System.nanoTime() - t0) / 1000000L,
-        Double.NaN, Double.NaN, ranks.product)
-      it += 1
+          maxIters: Int = 20, partitions: Int = 0, seed: Long = 17): TuckerModel =
+    HooiCommon.sweep(spark, tensor, ranks, maxIters, partitions, seed) { (entries, mode, kronLen, bF) =>
+      entries.mapPartitions(part => csfTtmcRows(part, mode, kronLen, bF.value))
     }
-    val core = HooiCommon.coreFromEntries(spark, entries, factors, ranks)
-    entries.unpersist(blocking = false)
-    TuckerModel(tensor.dims, ranks, factors, core, history)
-  }
 
   /** CSF-style TTMc over one partition: sort by the non-`mode` indices,
     * reuse partial Kronecker vectors across the longest common prefix with

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.SparkException
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
@@ -116,16 +117,20 @@ object PTucker {
               (e.idx(mode), (computeDelta(e.idx, mode, jn, bF.value, bC.value), e.value)))
           // combineByKey, not aggregateByKey: the latter deserializes its
           // zero value once per (key, partition), which dominates at high T
-          val seqOp = (acc: (Array[Double], Array[Double]), dx: (Array[Double], Double)) => {
+          val seqOp = (acc: Array[Double], dx: (Array[Double], Double)) => {
             accumulate(acc, dx._1, dx._2); acc
           }
-          val solvedRows = deltas
-            .combineByKey(
-              (dx: (Array[Double], Double)) =>
-                seqOp((new Array[Double](jn * jn), new Array[Double](jn)), dx),
-              seqOp, mergeAcc _)
-            .mapValues(solveRow(_, jn, lambda))
-            .collectAsMap()
+          val solvedRows =
+            try deltas
+              .combineByKey(
+                (dx: (Array[Double], Double)) => seqOp(new Array[Double](jn * jn + jn), dx),
+                seqOp, mergeAcc _)
+              .mapValues(solveRow(_, jn, lambda))
+              .collectAsMap()
+            catch {
+              case e: SparkException => throw new IllegalStateException(
+                s"P-Tucker ${config.variant}: row solve failed at iteration ${iter + 1}, mode $n", e)
+            }
 
           // Driver-side row substitution. Rows with Ω^(n)_{i_n} = ∅ have
           // B = 0, c = 0, so Eq. (10) gives the zero row (pure regularization).
@@ -289,42 +294,40 @@ object PTucker {
     out
   }
 
-  /** Accumulates Eq. (11)-(12): `B += δδᵀ`, `c += x·δ` (mutates `acc`). */
-  private[core] def accumulate(acc: (Array[Double], Array[Double]),
-                               delta: Array[Double], x: Double): Unit = {
-    val (bArr, cArr) = acc
+  /** Accumulates Eq. (11)-(12) into one row's `acc = (B | c)` of length
+    * `J² + J`: `B += δδᵀ` in the first `J²` slots (row-major), `c += x·δ`
+    * in the last `J` (mutates `acc`).
+    */
+  private[core] def accumulate(acc: Array[Double], delta: Array[Double], x: Double): Unit = {
     val jn = delta.length
+    val cOff = jn * jn
     var a = 0
     while (a < jn) {
       val da = delta(a)
-      cArr(a) += x * da
+      acc(cOff + a) += x * da
       if (da != 0.0) {
         var b = 0
-        while (b < jn) { bArr(a * jn + b) += da * delta(b); b += 1 }
+        while (b < jn) { acc(a * jn + b) += da * delta(b); b += 1 }
       }
       a += 1
     }
   }
 
-  private[core] def mergeAcc(x: (Array[Double], Array[Double]),
-                             y: (Array[Double], Array[Double])): (Array[Double], Array[Double]) = {
+  private[core] def mergeAcc(x: Array[Double], y: Array[Double]): Array[Double] = {
     var i = 0
-    while (i < x._1.length) { x._1(i) += y._1(i); i += 1 }
-    i = 0
-    while (i < x._2.length) { x._2(i) += y._2(i); i += 1 }
+    while (i < x.length) { x(i) += y(i); i += 1 }
     x
   }
 
-  /** Eq. (10): row = c · (B + λI)^{-1}; B is symmetric, so this is the
-    * solution of `(B + λI) y = c`.
+  /** Eq. (10): row = c · (B + λI)^{-1} from `acc = (B | c)`. B + λI is
+    * symmetric positive definite for λ > 0, so this is the Cholesky solution
+    * of `(B + λI) y = c`.
     */
-  private[core] def solveRow(acc: (Array[Double], Array[Double]), jn: Int,
-                             lambda: Double): Array[Double] = {
-    val (bArr, cArr) = acc
-    val m = new DenseMatrix(jn, jn, bArr.clone())
+  private[core] def solveRow(acc: Array[Double], jn: Int, lambda: Double): Array[Double] = {
+    val m = new DenseMatrix(jn, jn, java.util.Arrays.copyOf(acc, jn * jn))
     var d = 0
     while (d < jn) { m(d, d) += lambda; d += 1 }
-    DenseMatrix.solve(m, cArr)
+    DenseMatrix.solve(m, java.util.Arrays.copyOfRange(acc, jn * jn, jn * jn + jn))
   }
 
   /** Eq. (14): partial reconstruction error R(β) for every surviving core
@@ -351,11 +354,7 @@ object PTucker {
           }
           acc
         },
-        combOp = { (x, y) =>
-          var i = 0
-          while (i < x.length) { x(i) += y(i); i += 1 }
-          x
-        })
+        combOp = mergeAcc)
     } finally { bF.destroy(); bC.destroy() }
   }
 }

