@@ -4,8 +4,8 @@ import repro.SparkSpec
 import repro.exp.{Harness, ScalabilityExperiments => S}
 
 /** Fig 10 (Section IV-D): parallelization scalability. Paper shape: near
-  * linear speed-up in T and memory linear in T. T maps to entry-RDD
-  * partitions on the local[16] session (DESIGN.md §2).
+  * linear speed-up in T and memory linear in T. T maps to the tasks per
+  * mode update (row blocks per mode) on the local[16] session (DESIGN.md §2).
   */
 class Fig10ThreadScalingBench extends SparkSpec {
 

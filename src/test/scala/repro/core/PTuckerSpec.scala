@@ -1,5 +1,8 @@
 package repro.core
 
+import org.apache.spark.BroadcastProbe
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
 import repro.{SparkSpec, TensorGen}
 import repro.linalg.DenseMatrix
 import repro.tensor.SparseTensor
@@ -90,12 +93,80 @@ class PTuckerSpec extends SparkSpec {
     assert(m.core.nnz == sizes.last)
   }
 
+  /** Rows 0-2 of mode 0 hold most of the entries. */
+  private def hotRowTensor(): SparseTensor = {
+    val rng = new scala.util.Random(21)
+    val entries = (0 until 600).map { k =>
+      val i0 = if (k % 5 != 0) rng.nextInt(3) else 3 + rng.nextInt(9)
+      (Array(i0, rng.nextInt(20), rng.nextInt(20)), rng.nextDouble())
+    }.distinctBy(_._1.toSeq)
+    SparseTensor.fromEntries(spark, Array(12, 20, 20), entries)
+  }
+
+  private def relDiff(a: Double, b: Double): Double =
+    math.abs(a - b) / math.max(math.abs(a), 1e-300)
+
   test("partition count does not change the result materially") {
-    val m1 = PTucker.fit(spark, planted, baseConfig.copy(partitions = 1, maxIters = 4))
-    val m8 = PTucker.fit(spark, planted, baseConfig.copy(partitions = 8, maxIters = 4))
-    val e1 = m1.history.last.error
-    val e8 = m8.history.last.error
-    assert(math.abs(e1 - e8) < 1e-4 * math.max(1.0, e1), s"$e1 vs $e8")
+    for ((t, name) <- Seq((planted, "planted"), (hotRowTensor(), "hot rows"))) {
+      val models = Seq(1, 4, 16).map(p =>
+        p -> PTucker.fit(spark, t, baseConfig.copy(partitions = p, maxIters = 4)))
+      val (_, m1) = models.head
+      models.tail.foreach { case (p, m) =>
+        assert(m.history.size == m1.history.size, s"$name, T=$p: iteration count")
+        m1.history.zip(m.history).foreach { case (a, b) =>
+          assert(relDiff(a.error, b.error) <= 1e-9, s"$name, T=$p, iter ${a.iter}: ${a.error} vs ${b.error}")
+        }
+        m1.factors.zip(m.factors).zipWithIndex.foreach { case ((a, b), n) =>
+          val scale = a.data.map(math.abs).max
+          assert(a.maxAbsDiff(b) <= 1e-9 * scale, s"$name, T=$p: factor $n differs by ${a.maxAbsDiff(b)}")
+        }
+      }
+    }
+    // the same seed gives an identical model
+    val a = PTucker.fit(spark, planted, baseConfig.copy(maxIters = 4))
+    val b = PTucker.fit(spark, planted, baseConfig.copy(maxIters = 4))
+    assert(a.history.map(_.error) == b.history.map(_.error))
+    assert(a.factors.zip(b.factors).forall { case (x, y) => x.data.sameElements(y.data) })
+    assert(a.core.entries.map(_.value).sameElements(b.core.entries.map(_.value)))
+  }
+
+  test("rows with many entries are split, so that no block holds much more than its share") {
+    val t = hotRowTensor()
+    val nnz = t.nnz
+    for (p <- Seq(2, 4, 16)) {
+      val layout = new PTucker.BlockLayout(spark, t, p, baseConfig.copy(partitions = p))
+      try {
+        layout.open(Array.empty, null)
+        (0 until 3).foreach { n =>
+          val sizes = layout.modeBlocks(n).map(_.nnz.toLong).collect()
+          assert(sizes.sum == nnz, s"T=$p, mode $n: blocks hold ${sizes.sum} of $nnz entries")
+          assert(sizes.max <= 1.5 * nnz / p, s"T=$p, mode $n: block sizes ${sizes.mkString(", ")}")
+        }
+      } finally layout.close()
+    }
+  }
+
+  test("the recorded Eq.-6 error is the exact error of the returned model") {
+    // The last mode update sums (x - a·δ)² with the final factors; it must
+    // equal a separate pass, also near fit = 1 where Σx² - 2a·c + aᵀBa cancels.
+    val noisy = TensorGen.lowRank(spark, dims = Array(10, 9, 8), ranks = Array(2, 2, 2),
+      nnz = 500, noiseSd = 0.1, seed = 3).persisted()
+    // At T = 16 every row of the planted tensors is split over blocks, so
+    // the last mode's error comes from the split rows' parts.
+    for ((t, name) <- Seq((noisy, "noisy"), (planted, "noise-free"));
+         v <- Seq(PTuckerVariant.Default, PTuckerVariant.Approx); p <- Seq(4, 16)) {
+      val m = PTucker.fit(spark, t, baseConfig.copy(variant = v, orthogonalize = false, partitions = p))
+      // Approx records the error before its truncation; with |G| settled at
+      // 4 cells the last truncation drops nothing, so the returned core is
+      // the one the error was taken with.
+      if (v == PTuckerVariant.Approx)
+        assert(m.history.last.coreNnz == m.history.init.last.coreNnz, s"$name: core still shrinking")
+      else if (name == "noise-free") assert(m.history.last.fit > 0.99, s"fit ${m.history.last.fit}")
+      val exact = math.sqrt(TuckerKernels.sumSquaredError(spark, t.entriesRdd(4), m.factors, m.core))
+      val got = m.history.last.error
+      assert(relDiff(exact, got) <= 1e-9, s"$name, $v, T=$p: recorded $got vs exact $exact")
+    }
+    noisy.unpersist()
   }
 
   test("test RMSE on held-out entries of a noisy planted tensor is small") {
@@ -164,29 +235,71 @@ class PTuckerSpec extends SparkSpec {
     assert((sc.getPersistentRDDs.keySet -- before).isEmpty, "a failed fit left RDDs persisted")
   }
 
+  /** Asserts that no broadcast made since `before` outlives its release,
+    * which Spark carries out asynchronously.
+    */
+  private def assertNoNewBroadcast(before: Set[Long], what: String): Unit =
+    eventually(timeout(10.seconds), interval(50.millis)) {
+      val leaked = BroadcastProbe.liveIds(spark.sparkContext) -- before
+      assert(leaked.isEmpty, s"$what left broadcasts ${leaked.mkString(", ")}")
+    }
+
   test("a failed row solve fails the fit, naming variant, iteration and mode") {
     // J = 2: mode 1's B + λI is all Inf, so its second Cholesky pivot is NaN.
     val t = overflowTensor()
     val sc = spark.sparkContext
     val before = sc.getPersistentRDDs.keySet
+    val broadcasts = BroadcastProbe.liveIds(sc)
     val e = intercept[IllegalStateException] {
       PTucker.fit(spark, t, PTuckerConfig(ranks = Array(2, 2), maxIters = 5, partitions = 2))
     }
     assert(e.getMessage.contains("iteration 1") && e.getMessage.contains("mode 1") &&
       e.getMessage.contains("Default"), e.getMessage)
     assert((sc.getPersistentRDDs.keySet -- before).isEmpty, "a failed fit left RDDs persisted")
+    assertNoNewBroadcast(broadcasts, "a failed fit")
+  }
+
+  private val variants = Seq(PTuckerVariant.Default, PTuckerVariant.Cache, PTuckerVariant.Approx)
+
+  /** Fits a 4×9×3 tensor holding one valid entry and `bad` with every
+    * variant; each fit must throw an IllegalArgumentException whose message
+    * contains `want`, and leave no RDD persisted.
+    */
+  private def assertRejected(bad: (Array[Int], Double), want: String): Unit = {
+    val t = SparseTensor.fromEntries(spark, Array(4, 9, 3), Seq((Array(0, 0, 0), 1.0), bad))
+    val sc = spark.sparkContext
+    for (v <- variants) {
+      val before = sc.getPersistentRDDs.keySet
+      val e = intercept[IllegalArgumentException] {
+        PTucker.fit(spark, t, PTuckerConfig(ranks = Array(1, 1, 1), partitions = 2, variant = v))
+      }
+      assert(e.getMessage.contains(want), s"$v: ${e.getMessage}")
+      assert((sc.getPersistentRDDs.keySet -- before).isEmpty, s"$v left RDDs persisted")
+    }
+  }
+
+  test("input validation: an index outside [0, dim) is rejected, naming mode, index and dim") {
+    assertRejected((Array(1, 9, 2), 2.0), "mode 1: index 9 outside [0, 9)")
+    assertRejected((Array(1, 2, -1), 2.0), "mode 2: index -1 outside [0, 3)")
+  }
+
+  test("input validation: a non-finite value is rejected, naming the entry") {
+    assertRejected((Array(1, 2, 0), Double.NaN), "entry (1, 2, 0): value NaN is not finite")
+    assertRejected((Array(3, 8, 2), Double.NegativeInfinity), "entry (3, 8, 2): value -Infinity is not finite")
   }
 
   test("fit leaves no RDD persisted, for every variant") {
     planted.nnz // the input's own cache is built before the snapshot
     val sc = spark.sparkContext
-    for (v <- Seq(PTuckerVariant.Default, PTuckerVariant.Cache, PTuckerVariant.Approx)) {
+    for (v <- variants) {
       val before = sc.getPersistentRDDs.keySet
+      val broadcasts = BroadcastProbe.liveIds(sc)
       PTucker.fit(spark, planted, baseConfig.copy(variant = v, maxIters = 2))
       // only new ids count: persisted RDDs are weakly held, so the cleaner
       // may drop unreachable ones of earlier suites meanwhile
       val leaked = sc.getPersistentRDDs.keySet -- before
       assert(leaked.isEmpty, s"$v left RDDs ${leaked.mkString(", ")} persisted")
+      assertNoNewBroadcast(broadcasts, v.toString)
     }
   }
 
@@ -195,8 +308,12 @@ class PTuckerSpec extends SparkSpec {
     val entries = t.collectEntries()
     val factors = Array.tabulate(3)(n => DenseMatrix.rand(t.dims(n), 2, 77 + n))
     val core = repro.tensor.CoreTensor.rand(Array(2, 2, 2), 99)
-    val rdd = t.entriesRdd(2)
-    val got = PTucker.computeRBeta(spark, rdd, factors, core)
+    val layout = new PTucker.BlockLayout(spark, t, 2, PTuckerConfig(ranks = Array(2, 2, 2)))
+    val got =
+      try {
+        layout.open(factors, core)
+        PTucker.computeRBeta(spark, layout.modeBlocks(0), factors, core)
+      } finally layout.close()
 
     def sse(cells: Array[repro.tensor.CoreEntry]): Double =
       entries.map { case (idx, x) =>
