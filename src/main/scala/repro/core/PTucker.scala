@@ -15,7 +15,7 @@ import scala.util.hashing.MurmurHash3
 /** Which Algorithm-2/3 variant to run (Section III-C). */
 sealed trait PTuckerVariant
 object PTuckerVariant {
-  /** Memory-optimized default: δ recomputed per (entry, core-cell) pair. */
+  /** Memory-optimized default: δ recomputed per entry from the core's tree. */
   case object Default extends PTuckerVariant
   /** Time-optimized: per-(α,β) products memoized in the Pres table. */
   case object Cache extends PTuckerVariant
@@ -61,6 +61,14 @@ final case class PTuckerConfig(ranks: Array[Int],
 object PTucker {
 
   import TuckerKernels.{CoreCells, FactorData, NoSkip, cellProduct, coreCells, factorData}
+
+  /** What a task needs of the model: the factors and the core's tree, built
+    * once on the driver and shipped in one broadcast.
+    */
+  private[core] type ModelData = (FactorData, CoreTree)
+
+  private def modelData(factors: Array[DenseMatrix], core: CoreTensor): ModelData =
+    (factorData(factors), CoreTree(core))
 
   def fit(spark: SparkSession, tensor: SparseTensor, config: PTuckerConfig): TuckerModel = {
     val order = tensor.order
@@ -185,16 +193,15 @@ object PTucker {
 
     def updateMode(n: Int, factors: Array[DenseMatrix], core: CoreTensor, last: Boolean,
                    failure: => String): Double = {
-      val bF = sc.broadcast(factorData(factors))
-      val bC = sc.broadcast(coreCells(core))
+      val bM = sc.broadcast(modelData(factors, core))
       try {
         val updated = DenseMatrix.zeros(tensor.dims(n), config.ranks(n))
         val sse = rowSolve(failure) {
-          solveBlocks(modeBlocks(n), n, config.ranks(n), config.lambda, last, bF, bC, factors(n), updated)
+          solveBlocks(modeBlocks(n), n, config.ranks(n), config.lambda, last, bM, factors(n), updated)
         }
         factors(n) = updated
         sse
-      } finally { bF.destroy(); bC.destroy() }
+      } finally bM.destroy()
     }
 
     def close(): Unit = {
@@ -231,10 +238,13 @@ object PTucker {
         .persist(StorageLevel.MEMORY_AND_DISK)
       require(inputChecked(entries.count()) > 0, "empty tensor")
       // Algorithm 3 lines 1-4: precompute the Pres cache table.
-      val bF = broadcast(factorData(factors))
-      val bC = broadcast(coreCells(core))
-      pres = materialize(entries.map(e => (e, computePres(e.idx, bF.value, bC.value))))
-      bF.unpersist(); bC.unpersist()
+      val bM = broadcast(modelData(factors, core))
+      pres = materialize(entries.mapPartitions { es =>
+        val (f, tree) = bM.value
+        val s = tree.scratch()
+        es.map(e => (e, computePres(e.idx, f, tree, s)))
+      })
+      bM.unpersist()
       tensor.frobeniusNorm
     }
 
@@ -395,6 +405,7 @@ object PTucker {
     */
   private def rowBlocks(tensor: SparseTensor, placement: Broadcast[Placement], T: Int): RDD[RowBlock] = {
     val order = tensor.order
+    val dims = tensor.dims
     tensor.df.rdd
       .mapPartitionsWithIndex { (src, rs) =>
         val place = placement.value
@@ -418,21 +429,23 @@ object PTucker {
       .partitionBy(new HashPartitioner(order * T))
       .mapPartitionsWithIndex { (p, chunks) =>
         val n = p / T
-        sortedBlock(n, order, chunks.map(_._2), placement.value.isSplit(n, _))
+        sortedBlock(n, dims(n), order, chunks.map(_._2), placement.value.isSplit(n, _))
       }
       .persist(StorageLevel.MEMORY_AND_DISK)
   }
 
   /** Joins one partition's chunks into one block, sorted by the mode-`n`
-    * index, then the other indices. The chunks are joined in the order of
-    * the input partitions they came from, and the sort is stable, so entries
-    * with the same index keep their input order. The order of the entries,
-    * and with it every row's summation order, then depends neither on the
-    * order in which the shuffle delivered the chunks nor, for a row that is
-    * not split, on T.
+    * index (in `[0, dim)`), then the other indices. The chunks are joined in
+    * the order of the input partitions they came from, and the sort is
+    * stable, so entries with the same index keep their input order. The
+    * order of the entries, and with it every row's summation order, then
+    * depends neither on the order in which the shuffle delivered the chunks
+    * nor, for a row that is not split, on T. The sort is a counting sort on
+    * the mode-`n` index, then a merge sort of each row's run.
     */
-  private def sortedBlock(n: Int, order: Int, chunks: Iterator[(Int, Array[Int], Array[Double])],
-                          isSplit: Int => Boolean): Iterator[RowBlock] = {
+  private[core] def sortedBlock(n: Int, dim: Int, order: Int,
+                                chunks: Iterator[(Int, Array[Int], Array[Double])],
+                                isSplit: Int => Boolean): Iterator[RowBlock] = {
     val idxB = new mutable.ArrayBuilder.ofInt
     val valuesB = new mutable.ArrayBuilder.ofDouble
     chunks.toArray.sortBy(_._1).foreach { case (_, i, v) => idxB ++= i; valuesB ++= v }
@@ -440,20 +453,39 @@ object PTucker {
     val values = valuesB.result()
     val m = values.length
     if (m == 0) return Iterator.empty
-    val perm: Array[Integer] = Array.tabulate(m)(Int.box)
-    java.util.Arrays.sort(perm, (a: Integer, b: Integer) => {
-      var c = Integer.compare(idx(a * order + n), idx(b * order + n))
+    val start = new Array[Int](dim + 1)
+    var e = 0
+    while (e < m) { start(idx(e * order + n) + 1) += 1; e += 1 }
+    var i = 0
+    while (i < dim) { start(i + 1) += start(i); i += 1 }
+    val perm = new Array[Int](m)
+    val next = java.util.Arrays.copyOf(start, dim)
+    e = 0
+    while (e < m) {
+      val r = idx(e * order + n)
+      perm(next(r)) = e
+      next(r) += 1
+      e += 1
+    }
+    val byOthers = (a: Int, b: Int) => {
+      var c = 0
       var k = 0
       while (c == 0 && k < order) {
         if (k != n) c = Integer.compare(idx(a * order + k), idx(b * order + k))
         k += 1
       }
       c
-    })
+    }
+    val tmp = new Array[Int](m)
+    i = 0
+    while (i < dim) {
+      if (start(i + 1) - start(i) > 1) mergeSort(perm, tmp, start(i), start(i + 1), byOthers)
+      i += 1
+    }
     val sortedIdx = new Array[Int](m * order)
     val sortedValues = new Array[Double](m)
     val parts = new mutable.ArrayBuilder.ofInt
-    var e = 0
+    e = 0
     while (e < m) {
       System.arraycopy(idx, perm(e) * order, sortedIdx, e * order, order)
       sortedValues(e) = values(perm(e))
@@ -463,6 +495,36 @@ object PTucker {
     }
     Iterator.single(RowBlock(sortedIdx, sortedValues, parts.result()))
   }
+
+  /** Stable merge sort of `a(lo until hi)` by `cmp`, with `tmp` (as long as
+    * `a`) as the merge buffer.
+    */
+  private def mergeSort(a: Array[Int], tmp: Array[Int], lo: Int, hi: Int, cmp: (Int, Int) => Int): Unit =
+    if (hi - lo <= 16) {
+      var i = lo + 1
+      while (i < hi) {
+        val v = a(i)
+        var j = i - 1
+        while (j >= lo && cmp(a(j), v) > 0) { a(j + 1) = a(j); j -= 1 }
+        a(j + 1) = v
+        i += 1
+      }
+    } else {
+      val mid = (lo + hi) >>> 1
+      mergeSort(a, tmp, lo, mid, cmp)
+      mergeSort(a, tmp, mid, hi, cmp)
+      if (cmp(a(mid - 1), a(mid)) > 0) {
+        System.arraycopy(a, lo, tmp, lo, hi - lo)
+        var i = lo
+        var j = mid
+        var k = lo
+        while (k < hi) {
+          if (j >= hi || (i < mid && cmp(tmp(i), tmp(j)) <= 0)) { a(k) = tmp(i); i += 1 }
+          else { a(k) = tmp(j); j += 1 }
+          k += 1
+        }
+      }
+    }
 
   /** One block's share of a mode update (see [[solveBlock]]): the solved
     * rows (row-major) with the SSE over their entries, and each part of a
@@ -482,11 +544,10 @@ object PTucker {
     * each block's SSE in partition order, then each part's [[partSse]].
     */
   private def solveBlocks(blocks: RDD[RowBlock], n: Int, jn: Int, lambda: Double, withSse: Boolean,
-                          bF: Broadcast[FactorData], bC: Broadcast[CoreCells],
-                          old: DenseMatrix, updated: DenseMatrix): Double = {
+                          bM: Broadcast[ModelData], old: DenseMatrix, updated: DenseMatrix): Double = {
     val solved = blocks
       .mapPartitionsWithIndex { (p, it) =>
-        it.map(b => (p, solveBlock(b, n, jn, lambda, withSse, bF.value, bC.value)))
+        it.map(b => (p, solveBlock(b, n, jn, lambda, withSse, bM.value)))
       }
       .collectAsMap()
       .toSeq.sortBy(_._1).map(_._2)
@@ -523,7 +584,9 @@ object PTucker {
     * old value (zeros without `withSse`).
     */
   private def solveBlock(b: RowBlock, n: Int, jn: Int, lambda: Double, withSse: Boolean,
-                         f: FactorData, cells: CoreCells): BlockSolve = {
+                         model: ModelData): BlockSolve = {
+    val (f, tree) = model
+    val s = tree.scratch()
     val order = b.order
     val idx = new Array[Int](order)
     val acc = new Array[Double](jn * jn + jn)
@@ -542,7 +605,7 @@ object PTucker {
       var e = start
       while (e < b.nnz && b.idx(e * order + n) == i) {
         b.indexInto(e, idx)
-        val delta = computeDelta(idx, n, jn, f, cells)
+        val delta = computeDelta(idx, n, jn, f, tree, s)
         accumulate(acc, delta, b.values(e))
         if (withSse) runDeltas += delta
         e += 1
@@ -647,11 +710,15 @@ object PTucker {
     * holds *beyond* X, G and the factor matrices. Default: per-task
     * δ, c (J) and B, (B+λI)^{-1} (J²) → `O(T·J²)`. Cache: the Pres table
     * → `O(|Ω|·J^N)`. Approx: the R(β) vector → `O(J^N)` (+ the default's
-    * per-task data). Not modelled, because they depend on the data: Default
-    * and Approx store the entries N times, once per mode's row blocks, in
-    * columnar form (X itself, N copies), and a last-mode task also holds one
-    * run's δ's for the Eq.-6 sum: one row's, or one part's of a split row,
-    * so about `|Ω|/2T · J` at most. The parts of split rows add `O(T·J²)` on
+    * per-task data). Default's δ costs `O(nodes(G))` per entry and mode
+    * ([[CoreTree]]), the paper's Cache time without Cache's memory; for it
+    * a task holds the core's tree, a re-layout of G, and `O(nodes(G))`
+    * scratch doubles, no more than G itself, so neither is modelled. Not
+    * modelled either, because they depend on the data: Default and Approx
+    * store the entries N times, once per mode's row blocks, in columnar
+    * form (X itself, N copies), and a last-mode task also holds one run's
+    * δ's for the Eq.-6 sum: one row's, or one part's of a split row, so
+    * about `|Ω|/2T · J` at most. The parts of split rows add `O(T·J²)` on
     * the driver, and the row placement `Σ I_n` ints.
     */
   def intermediateDoubles(config: PTuckerConfig, T: Int, nnz: Long): Long = {
@@ -669,30 +736,24 @@ object PTucker {
   // kernels (run inside tasks; everything reachable is plain arrays)
   // -------------------------------------------------------------------
 
-  /** Eq. (13): δ^{(n)}_α — length-J_n vector; O(N) multiplies per core cell. */
-  private[core] def computeDelta(idx: Array[Int], n: Int, jn: Int,
-                                 f: FactorData, cells: CoreCells): Array[Double] = {
+  /** Eq. (13): δ^{(n)}_α, a length-J_n vector, by contracting the core's
+    * tree ([[CoreTree.delta]]): one multiply per tree node. `s` is the
+    * task's [[CoreTree.scratch]].
+    */
+  private[core] def computeDelta(idx: Array[Int], n: Int, jn: Int, f: FactorData,
+                                 tree: CoreTree, s: Array[Array[Double]]): Array[Double] = {
     val out = new Array[Double](jn)
-    var b = 0
-    while (b < cells.length) {
-      val c = cells(b)
-      out(c._1(n)) += cellProduct(idx, c._1, c._2, n, f)
-      b += 1
-    }
+    tree.delta(idx, n, f, s, out)
     out
   }
 
   /** Algorithm 3 line 4: `Pres[α][β] = G_β ∏_k a^{(k)}_{i_k j_k}`, aligned
-    * with the core-cell enumeration order.
+    * with the core-cell enumeration order ([[CoreTree.products]]).
     */
-  private[core] def computePres(idx: Array[Int], f: FactorData, cells: CoreCells): Array[Double] = {
-    val out = new Array[Double](cells.length)
-    var b = 0
-    while (b < cells.length) {
-      val c = cells(b)
-      out(b) = cellProduct(idx, c._1, c._2, NoSkip, f)
-      b += 1
-    }
+  private[core] def computePres(idx: Array[Int], f: FactorData, tree: CoreTree,
+                                s: Array[Array[Double]]): Array[Double] = {
+    val out = new Array[Double](tree.nnz)
+    tree.products(idx, f, s, out)
     out
   }
 
@@ -780,21 +841,20 @@ object PTucker {
     */
   private[core] def computeRBeta(spark: SparkSession, blocks: RDD[RowBlock],
                                  factors: Array[DenseMatrix], core: CoreTensor): Array[Double] = {
-    val bF = spark.sparkContext.broadcast(factorData(factors))
-    val bC = spark.sparkContext.broadcast(coreCells(core))
+    val bM = spark.sparkContext.broadcast(modelData(factors, core))
     val nCells = core.nnz
     try {
       blocks.treeAggregate(new Array[Double](nCells))(
         seqOp = { (acc, blk) =>
+          val (f, tree) = bM.value
+          val s = tree.scratch()
           val idx = new Array[Int](blk.order)
+          val ps = new Array[Double](nCells)
           var e = 0
           while (e < blk.nnz) {
             blk.indexInto(e, idx)
-            val ps = computePres(idx, bF.value, bC.value)
-            var pred = 0.0
+            val pred = tree.products(idx, f, s, ps)
             var b = 0
-            while (b < ps.length) { pred += ps(b); b += 1 }
-            b = 0
             while (b < ps.length) {
               acc(b) += ps(b) * (2.0 * pred - ps(b) - 2.0 * blk.values(e))
               b += 1
@@ -804,6 +864,6 @@ object PTucker {
           acc
         },
         combOp = mergeAcc)
-    } finally { bF.destroy(); bC.destroy() }
+    } finally bM.destroy()
   }
 }

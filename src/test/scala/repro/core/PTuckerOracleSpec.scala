@@ -71,12 +71,13 @@ class PTuckerOracleSpec extends SparkSpec {
     val factors = Array.tabulate(3)(n => repro.linalg.DenseMatrix.rand(t.dims(n), 2, 50 + n))
     val core = repro.tensor.CoreTensor.rand(Array(2, 2, 2), 60)
     val fd = TuckerKernels.factorData(factors)
-    val cc = TuckerKernels.coreCells(core)
+    val tree = CoreTree(core)
+    val scratch = tree.scratch()
 
     // Spark/kernel side: c per (i0, j)
     val cRows = t.collectEntries()
       .flatMap { case (idx, x) =>
-        val d = PTucker.computeDelta(idx, 0, 2, fd, cc)
+        val d = PTucker.computeDelta(idx, 0, 2, fd, tree, scratch)
         d.indices.map(j => ((idx(0), j), x * d(j)))
       }
       .groupBy(_._1).map { case ((i0, j), vs) => Row(i0, j, vs.map(_._2).sum) }.toSeq

@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.linalg.DenseMatrix
-import repro.tensor.CoreTensor
+import repro.tensor.{CoreEntry, CoreTensor}
 
 /** Verifies the Eq. (10)-(13) kernels against straight-from-the-definition
   * reference implementations and a numerical argmin check (Theorem 1).
@@ -17,6 +17,7 @@ class PTuckerRuleSpec extends AnyFunSuite {
   private val core = CoreTensor.rand(ranks, seed + 100)
   private val fd = TuckerKernels.factorData(factors)
   private val cc = TuckerKernels.coreCells(core)
+  private val tree = CoreTree(core)
 
   private val rng = new scala.util.Random(7)
   private val entries: Seq[(Array[Int], Double)] = (0 until 40).map { _ =>
@@ -42,7 +43,7 @@ class PTuckerRuleSpec extends AnyFunSuite {
 
   test("computeDelta matches the Eq. (13) reference for every entry and mode") {
     for ((idx, _) <- entries; n <- 0 until 3) {
-      val got = PTucker.computeDelta(idx, n, ranks(n), fd, cc)
+      val got = PTucker.computeDelta(idx, n, ranks(n), fd, tree, tree.scratch())
       val want = refDelta(idx, n)
       assert(got.zip(want).forall { case (a, b) => math.abs(a - b) < 1e-12 },
         s"delta mismatch at ${idx.toSeq} mode $n")
@@ -51,7 +52,7 @@ class PTuckerRuleSpec extends AnyFunSuite {
 
   test("computePres matches G_β · ∏_k a^(k)") {
     for ((idx, _) <- entries.take(10)) {
-      val got = PTucker.computePres(idx, fd, cc)
+      val got = PTucker.computePres(idx, fd, tree, tree.scratch())
       core.entries.zipWithIndex.foreach { case (e, b) =>
         val want = e.value * (0 until 3).map(k => factors(k)(idx(k), e.idx(k))).product
         assert(math.abs(got(b) - want) < 1e-12)
@@ -61,16 +62,16 @@ class PTuckerRuleSpec extends AnyFunSuite {
 
   test("sum of Pres over cells equals the Eq. (5) prediction") {
     for ((idx, _) <- entries.take(10)) {
-      val pres = PTucker.computePres(idx, fd, cc)
+      val pres = PTucker.computePres(idx, fd, tree, tree.scratch())
       assert(math.abs(pres.sum - refPredict(idx)) < 1e-10)
     }
   }
 
   test("deltaFromPres reproduces computeDelta when no factor entry is zero") {
     for ((idx, _) <- entries.take(10); n <- 0 until 3) {
-      val pres = PTucker.computePres(idx, fd, cc)
+      val pres = PTucker.computePres(idx, fd, tree, tree.scratch())
       val viaCache = PTucker.deltaFromPres(idx, pres, n, ranks(n), fd, cc)
-      val direct = PTucker.computeDelta(idx, n, ranks(n), fd, cc)
+      val direct = PTucker.computeDelta(idx, n, ranks(n), fd, tree, tree.scratch())
       assert(viaCache.zip(direct).forall { case (a, b) => math.abs(a - b) < 1e-9 })
     }
   }
@@ -80,9 +81,9 @@ class PTuckerRuleSpec extends AnyFunSuite {
     fzero(0)(2, 1) = 0.0
     val fdz = TuckerKernels.factorData(fzero)
     val idx = Array(2, 1, 0)
-    val pres = PTucker.computePres(idx, fdz, cc) // some cells are exactly 0
+    val pres = PTucker.computePres(idx, fdz, tree, tree.scratch()) // some cells are exactly 0
     val viaCache = PTucker.deltaFromPres(idx, pres, 0, ranks(0), fdz, cc)
-    val direct = PTucker.computeDelta(idx, 0, ranks(0), fdz, cc)
+    val direct = PTucker.computeDelta(idx, 0, ranks(0), fdz, tree, tree.scratch())
     assert(viaCache.zip(direct).forall { case (a, b) => math.abs(a - b) < 1e-9 })
   }
 
@@ -91,9 +92,9 @@ class PTuckerRuleSpec extends AnyFunSuite {
     updated(1) = DenseMatrix.rand(dims(1), ranks(1), 999)
     val fdNew = TuckerKernels.factorData(updated)
     for ((idx, _) <- entries.take(10)) {
-      val old = PTucker.computePres(idx, fd, cc)
+      val old = PTucker.computePres(idx, fd, tree, tree.scratch())
       val patched = PTucker.patchPres(idx, old, 1, fd(1), cc, fdNew)
-      val fresh = PTucker.computePres(idx, fdNew, cc)
+      val fresh = PTucker.computePres(idx, fdNew, tree, tree.scratch())
       assert(patched.zip(fresh).forall { case (a, b) => math.abs(a - b) < 1e-9 })
     }
   }
@@ -103,7 +104,7 @@ class PTuckerRuleSpec extends AnyFunSuite {
     val acc = new Array[Double](jn * jn + jn)
     val mine = entries.filter(_._1(0) == 1)
     mine.foreach { case (idx, x) =>
-      PTucker.accumulate(acc, PTucker.computeDelta(idx, 0, jn, fd, cc), x)
+      PTucker.accumulate(acc, PTucker.computeDelta(idx, 0, jn, fd, tree, tree.scratch()), x)
     }
     val bWant = Array.ofDim[Double](jn, jn)
     val cWant = new Array[Double](jn)
@@ -148,7 +149,7 @@ class PTuckerRuleSpec extends AnyFunSuite {
     assert(mine.nonEmpty)
     val acc = new Array[Double](jn * jn + jn)
     mine.foreach { case (idx, x) =>
-      PTucker.accumulate(acc, PTucker.computeDelta(idx, n, jn, fd, cc), x)
+      PTucker.accumulate(acc, PTucker.computeDelta(idx, n, jn, fd, tree, tree.scratch()), x)
     }
     val row = PTucker.solveRow(acc, jn, lambda)
 
@@ -179,6 +180,41 @@ class PTuckerRuleSpec extends AnyFunSuite {
       val m = row.clone(); m(j) -= eps
       val g = (loss(p) - loss(m)) / (2 * eps)
       assert(math.abs(g) < 1e-6, s"gradient at coord $j is $g")
+    }
+  }
+
+  test("CoreTree rejects cells out of DenseTensor.indices order, repeated or out of range") {
+    val cells = core.entries
+    val swapped = cells.clone()
+    swapped(3) = cells(4); swapped(4) = cells(3)
+    val permuted = new scala.util.Random(5).shuffle(cells.toSeq).toArray
+    val repeated = cells.take(5) :+ cells(4)
+    val outside = Array(CoreEntry(Array(0, 0, 0), 1.0), CoreEntry(Array(0, 3, 0), 1.0))
+    for ((bad, want) <- Seq(swapped -> "core cell 4", permuted -> "ascending order",
+                            repeated -> "core cell 5", outside -> "outside [0, 3) in mode 1")) {
+      val e = intercept[IllegalArgumentException](CoreTree(new CoreTensor(ranks, bad)))
+      assert(e.getMessage.contains(want), e.getMessage)
+    }
+    // any subset in order is accepted: what truncation produces
+    CoreTree(new CoreTensor(ranks, cells.zipWithIndex.collect { case (c, b) if b % 3 != 1 => c }))
+  }
+
+  test("sortedBlock orders a block by the mode index, then the other indices, ties in input order") {
+    val rnd = new scala.util.Random(11)
+    val order = 3
+    val dim = 6
+    // few distinct other indices, so runs are long (merge path) and hold duplicates
+    val es = Array.fill(300)((Array(rnd.nextInt(dim), rnd.nextInt(3), rnd.nextInt(4)), rnd.nextDouble()))
+    val chunks = es.grouped(70).zipWithIndex.map { case (g, src) =>
+      (src, g.flatMap(_._1), g.map(_._2))
+    }.toSeq.reverse // delivery order must not matter
+    for (n <- 0 until order) {
+      val blk = PTucker.sortedBlock(n, dim, order, chunks.iterator, _ == 2).next()
+      val key: ((Array[Int], Double)) => Seq[Int] = e => e._1(n) +: (0 until order).filter(_ != n).map(e._1)
+      val want = es.sortBy(key)(Ordering.Implicits.seqOrdering) // stable
+      assert(blk.values.toSeq == want.map(_._2).toSeq, s"mode $n")
+      assert(blk.idx.toSeq == want.flatMap(_._1).toSeq, s"mode $n")
+      assert(blk.parts.toSeq == (if (es.exists(_._1(n) == 2)) Seq(2) else Nil))
     }
   }
 
