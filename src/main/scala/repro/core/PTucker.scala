@@ -1,9 +1,9 @@
 package repro.core
 
-import org.apache.spark.{HashPartitioner, SparkException}
+import org.apache.spark.{HashPartitioner, SparkException, TaskContext}
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.{PartitionPruningRDD, RDD}
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{Row, SparkSession}
 import org.apache.spark.storage.StorageLevel
 import repro.linalg.DenseMatrix
 import repro.tensor.{CoreTensor, SparseTensor, TensorEntry}
@@ -56,7 +56,8 @@ final case class PTuckerConfig(ranks: Array[Int],
   * the rows, with no shuffle. Cache's Pres table is aligned with the entries
   * instead, so Cache assembles the same equations by `combineByKey` on `i_n`.
   * The driver only ever holds the factor matrices themselves (`I_n×J_n`,
-  * small by assumption).
+  * small by assumption). Every job goes through [[Jobs.run]] and is tagged
+  * with its iteration, mode and phase ([[Jobs.tag]]).
   */
 object PTucker {
 
@@ -104,8 +105,7 @@ object PTucker {
         var sse = 0.0
         var n = 0
         while (n < order) {
-          sse = layout.updateMode(n, factors, core, last = n == order - 1,
-            s"P-Tucker ${config.variant}: row solve failed at iteration ${iter + 1}, mode $n")
+          sse = layout.updateMode(iter + 1, n, factors, core, last = n == order - 1)
           n += 1
         }
         val error = math.sqrt(sse)
@@ -115,7 +115,7 @@ object PTucker {
 
         // Algorithm 2 lines 5-6 (+ Algorithm 4): truncate "noisy" core cells.
         if (config.variant == PTuckerVariant.Approx && core.nnz > 1) {
-          val r = computeRBeta(spark, blocks.get.modeBlocks(0), factors, core)
+          val r = computeRBeta(spark, blocks.get.modeBlocks(0), factors, core, iter + 1)
           val drop = math.min((config.truncationRate * core.nnz).toInt, core.nnz - 1)
           if (drop > 0) core = core.truncate(r, drop)
         }
@@ -151,15 +151,14 @@ object PTucker {
       */
     def open(factors: Array[DenseMatrix], core: CoreTensor): Double
 
-    /** Eq. (10)-(13) for mode `n`: replaces `factors(n)` by the solved rows.
-      * Rows with Ω^(n)_{i_n} = ∅ have B = 0, c = 0, so Eq. (10) gives the
-      * zero row (pure regularization). With `last`, returns the squared
-      * reconstruction error (Eq. 6) with the updated factors, else 0. A
-      * failed row solve throws an IllegalStateException with message
-      * `failure`.
+    /** Eq. (10)-(13) for mode `n` in iteration `iter` (from 1): replaces
+      * `factors(n)` by the solved rows. Rows with Ω^(n)_{i_n} = ∅ have B = 0,
+      * c = 0, so Eq. (10) gives the zero row (pure regularization). With
+      * `last`, returns the squared reconstruction error (Eq. 6) with the
+      * updated factors, else 0. A failed row solve throws an
+      * IllegalStateException ([[rowSolve]]).
       */
-    def updateMode(n: Int, factors: Array[DenseMatrix], core: CoreTensor, last: Boolean,
-                   failure: => String): Double
+    def updateMode(iter: Int, n: Int, factors: Array[DenseMatrix], core: CoreTensor, last: Boolean): Double
 
     /** Releases everything the layout persisted or broadcast. */
     def close(): Unit
@@ -181,7 +180,7 @@ object PTucker {
       require(nnz > 0, "empty tensor")
       placement = sc.broadcast(Placement(counts, nnz, T))
       blocks = rowBlocks(tensor, placement, T)
-      blocks.count()
+      Jobs.run(blocks, Jobs.tag(0, 0, "materialize"), new Jobs.Count[RowBlock])
       math.sqrt(sumSq)
     }
 
@@ -191,13 +190,13 @@ object PTucker {
       PartitionPruningRDD.create(blocks, _ / t == n)
     }
 
-    def updateMode(n: Int, factors: Array[DenseMatrix], core: CoreTensor, last: Boolean,
-                   failure: => String): Double = {
+    def updateMode(iter: Int, n: Int, factors: Array[DenseMatrix], core: CoreTensor, last: Boolean): Double = {
       val bM = sc.broadcast(modelData(factors, core))
       try {
         val updated = DenseMatrix.zeros(tensor.dims(n), config.ranks(n))
-        val sse = rowSolve(failure) {
-          solveBlocks(modeBlocks(n), n, config.ranks(n), config.lambda, last, bM, factors(n), updated)
+        val sse = rowSolve(config.variant, iter, n) {
+          solveBlocks(modeBlocks(n), Jobs.tag(iter, n, "mode_update"), n, config.ranks(n), config.lambda, last,
+            bM, factors(n), updated)
         }
         factors(n) = updated
         sse
@@ -213,7 +212,7 @@ object PTucker {
   /** Cache: the entries and their Pres rows (Algorithm 3). Pres is aligned
     * with the entries, so a mode update sums each row's `(B | c)` by
     * `combineByKey` on `i_n` ([[solveFromPres]]), and Eq. (6) is a separate
-    * pass over the entries.
+    * pass over the entries (`TuckerKernels.sumSquaredError`, the reference).
     */
   private final class PresLayout(spark: SparkSession, tensor: SparseTensor, T: Int,
                                  config: PTuckerConfig) extends Layout {
@@ -236,25 +235,28 @@ object PTucker {
       val dims = tensor.dims
       entries = tensor.entriesRdd(T).map { e => checkEntry(dims, e.idx, e.value); e }
         .persist(StorageLevel.MEMORY_AND_DISK)
-      require(inputChecked(entries.count()) > 0, "empty tensor")
+      val (nnz, sumSq) = inputChecked(Jobs.run(entries, Jobs.tag(0, 0, "open"), new CountSquares))
+        .foldLeft((0L, 0.0)) { case ((n1, s1), (n2, s2)) => (n1 + n2, s1 + s2) }
+      require(nnz > 0, "empty tensor")
       // Algorithm 3 lines 1-4: precompute the Pres cache table.
       val bM = broadcast(modelData(factors, core))
       pres = materialize(entries.mapPartitions { es =>
         val (f, tree) = bM.value
         val s = tree.scratch()
         es.map(e => (e, computePres(e.idx, f, tree, s)))
-      })
+      }, Jobs.tag(0, 0, "materialize"))
       bM.unpersist()
-      tensor.frobeniusNorm
+      math.sqrt(sumSq)
     }
 
-    def updateMode(n: Int, factors: Array[DenseMatrix], core: CoreTensor, last: Boolean,
-                   failure: => String): Double = {
+    def updateMode(iter: Int, n: Int, factors: Array[DenseMatrix], core: CoreTensor, last: Boolean): Double = {
       val jn = config.ranks(n)
       val bF = broadcast(factorData(factors))
       val bC = broadcast(coreCells(core))
       val updated = DenseMatrix.zeros(tensor.dims(n), jn)
-      rowSolve(failure)(solveFromPres(pres, n, jn, config.lambda, bF, bC, updated))
+      rowSolve(config.variant, iter, n) {
+        solveFromPres(pres, Jobs.tag(iter, n, "mode_update"), n, jn, config.lambda, bF, bC, updated)
+      }
       factors(n) = updated
       // Algorithm 3 lines 16-19: patch Pres multiplicatively for mode n.
       // bF still holds the old factors and bC the core.
@@ -262,10 +264,12 @@ object PTucker {
       val old = pres
       pres = materialize(old.map { case (e, p) =>
         (e, patchPres(e.idx, p, n, bF.value(n), bC.value, bNew.value))
-      })
+      }, Jobs.tag(iter, n, "materialize"))
       old.unpersist(blocking = false)
       Seq(bF, bC, bNew).foreach(_.unpersist())
-      if (last) TuckerKernels.sumSquaredError(spark, entries, factors, core) else 0.0
+      if (last)
+        Jobs.described(sc, Jobs.tag(iter, n, "error_pass"))(TuckerKernels.sumSquaredError(spark, entries, factors, core))
+      else 0.0
     }
 
     def close(): Unit = {
@@ -274,13 +278,15 @@ object PTucker {
     }
   }
 
-  /** Runs a mode's row solve. A solve that fails, in a task or on the
-    * driver, becomes an IllegalStateException with message `failure`.
+  /** Runs mode `n`'s row solve in iteration `iter`. A solve that fails, in
+    * a task or on the driver, becomes an IllegalStateException that names
+    * the variant, the iteration and the mode.
     */
-  private def rowSolve[A](failure: => String)(solve: => A): A =
+  private def rowSolve[A](variant: PTuckerVariant, iter: Int, n: Int)(solve: => A): A =
     try solve
     catch {
-      case e @ (_: SparkException | _: IllegalArgumentException) => throw new IllegalStateException(failure, e)
+      case e @ (_: SparkException | _: IllegalArgumentException) =>
+        throw new IllegalStateException(s"P-Tucker $variant: row solve failed at iteration $iter, mode $n", e)
     }
 
   /** Rejects an entry with an index outside `[0, dims(k))` or a value that
@@ -308,29 +314,41 @@ object PTucker {
     }
 
   /** One pass over the input: checks every entry and returns, per mode, the
-    * number of entries in each row, and `Σ x²`.
+    * number of entries in each row, and `Σ x²`, summed in partition order.
     */
-  private def countRows(tensor: SparseTensor): (Array[Array[Long]], Double) = {
-    val order = tensor.order
-    val dims = tensor.dims
-    tensor.df.rdd
-      .mapPartitions { rs =>
-        val counts = dims.map(d => new Array[Long](d))
-        var sumSq = 0.0
-        rs.foreach { r =>
-          val e = Array.tabulate(order)(r.getInt)
-          val v = r.getDouble(order)
-          checkEntry(dims, e, v)
-          var n = 0
-          while (n < order) { counts(n)(e(n)) += 1; n += 1 }
-          sumSq += v * v
-        }
-        Iterator.single((counts, sumSq))
-      }
-      .treeReduce { case ((c1, s1), (c2, s2)) =>
+  private def countRows(tensor: SparseTensor): (Array[Array[Long]], Double) =
+    Jobs.run(tensor.df.rdd, Jobs.tag(0, 0, "open"), new CountRows(tensor.dims))
+      .foldLeft((tensor.dims.map(d => new Array[Long](d)), 0.0)) { case ((c1, s1), (c2, s2)) =>
         c1.zip(c2).foreach { case (a, b) => var i = 0; while (i < a.length) { a(i) += b(i); i += 1 } }
         (c1, s1 + s2)
       }
+
+  /** One input partition's share of [[countRows]]. */
+  private final class CountRows(dims: Array[Int]) extends PartitionTask[Row, (Array[Array[Long]], Double)] {
+    def apply(ctx: TaskContext, rs: Iterator[Row]): (Array[Array[Long]], Double) = {
+      val order = dims.length
+      val counts = dims.map(d => new Array[Long](d))
+      var sumSq = 0.0
+      rs.foreach { r =>
+        val e = Array.tabulate(order)(r.getInt)
+        val v = r.getDouble(order)
+        checkEntry(dims, e, v)
+        var n = 0
+        while (n < order) { counts(n)(e(n)) += 1; n += 1 }
+        sumSq += v * v
+      }
+      (counts, sumSq)
+    }
+  }
+
+  /** One partition's entry count and `Σ x²` (Cache's first pass). */
+  private final class CountSquares extends PartitionTask[TensorEntry, (Long, Double)] {
+    def apply(ctx: TaskContext, es: Iterator[TensorEntry]): (Long, Double) = {
+      var n = 0L
+      var sumSq = 0.0
+      es.foreach { e => n += 1; sumSq += e.value * e.value }
+      (n, sumSq)
+    }
   }
 
   /** Which of its mode's T blocks each row's entries go to. `home(n)(i)` is
@@ -536,21 +554,18 @@ object PTucker {
   /** A part's `(B | c)`, `s` and `g` (see [[solveBlock]]). */
   private def partStride(jn: Int): Int = jn * jn + 2 * jn + 1
 
-  /** Mode `n`'s update over its row blocks: one task per block, no shuffle.
-    * Rows come back solved, except a split row, whose parts' `(B | c)` the
-    * driver sums, in partition order, and solves. Writes every row into
-    * `updated`. With `withSse`, returns Eq. (6)'s sum over the mode's
-    * entries with the new rows (`old` holds the rows before the update):
-    * each block's SSE in partition order, then each part's [[partSse]].
+  /** Mode `n`'s update over its row blocks: one job described by
+    * `description`, one task per block, no shuffle. Rows come back solved,
+    * except a split row, whose parts' `(B | c)` the driver sums, in
+    * partition order, and solves. Writes every row into `updated`. With
+    * `withSse`, returns Eq. (6)'s sum over the mode's entries with the new
+    * rows (`old` holds the rows before the update): each block's SSE in
+    * partition order, then each part's [[partSse]].
     */
-  private def solveBlocks(blocks: RDD[RowBlock], n: Int, jn: Int, lambda: Double, withSse: Boolean,
-                          bM: Broadcast[ModelData], old: DenseMatrix, updated: DenseMatrix): Double = {
-    val solved = blocks
-      .mapPartitionsWithIndex { (p, it) =>
-        it.map(b => (p, solveBlock(b, n, jn, lambda, withSse, bM.value)))
-      }
-      .collectAsMap()
-      .toSeq.sortBy(_._1).map(_._2)
+  private def solveBlocks(blocks: RDD[RowBlock], description: String, n: Int, jn: Int, lambda: Double,
+                          withSse: Boolean, bM: Broadcast[ModelData], old: DenseMatrix,
+                          updated: DenseMatrix): Double = {
+    val solved = Jobs.run(blocks, description, new SolveBlocks(n, jn, lambda, withSse, bM)).flatten
     val stride = partStride(jn)
     val split = mutable.LinkedHashMap.empty[Int, Array[Double]]
     var sse = 0.0
@@ -572,6 +587,13 @@ object PTucker {
         s.partRows.indices.foreach(q => sse += partSse(s.parts, q * stride, jn, s.partRows(q), old, updated))
       }
     sse
+  }
+
+  /** [[solveBlock]] of a partition's block; `None` for a partition without one. */
+  private final class SolveBlocks(n: Int, jn: Int, lambda: Double, withSse: Boolean, bM: Broadcast[ModelData])
+      extends PartitionTask[RowBlock, Option[BlockSolve]] {
+    def apply(ctx: TaskContext, it: Iterator[RowBlock]): Option[BlockSolve] =
+      if (it.hasNext) Some(solveBlock(it.next(), n, jn, lambda, withSse, bM.value)) else None
   }
 
   /** Mode `n`'s update of one row block. For each row's run, `acc = (B | c)`
@@ -673,35 +695,38 @@ object PTucker {
 
   /** Cache's mode-`n` update: δ read off each entry's Pres row (Alg. 3
     * line 12), `(B | c)` summed per row by `combineByKey` on `i_n`, solved
-    * row by row; writes the rows into `updated`. combineByKey, not
-    * aggregateByKey: the latter deserializes its zero value once per
-    * (key, partition), which dominates at high T.
+    * row by row in one job described by `description`; writes the rows
+    * into `updated`. combineByKey, not aggregateByKey: the latter
+    * deserializes its zero value once per (key, partition), which dominates
+    * at high T.
     */
-  private def solveFromPres(pres: RDD[(TensorEntry, Array[Double])], n: Int, jn: Int, lambda: Double,
-                            bF: Broadcast[FactorData], bC: Broadcast[CoreCells],
+  private def solveFromPres(pres: RDD[(TensorEntry, Array[Double])], description: String, n: Int, jn: Int,
+                            lambda: Double, bF: Broadcast[FactorData], bC: Broadcast[CoreCells],
                             updated: DenseMatrix): Unit = {
     val seqOp = (acc: Array[Double], dx: (Array[Double], Double)) => {
       accumulate(acc, dx._1, dx._2); acc
     }
-    pres
+    val rows = pres
       .map { case (e, p) => (e.idx(n), (deltaFromPres(e.idx, p, n, jn, bF.value, bC.value), e.value)) }
       .combineByKey(
         (dx: (Array[Double], Double)) => seqOp(new Array[Double](jn * jn + jn), dx),
         seqOp, mergeAcc _)
       .mapValues(solveRow(_, jn, lambda))
-      .collectAsMap()
-      .foreach { case (i, row) => updated.setRow(i, row) }
+    Jobs.run(rows, description, new Jobs.Collect[(Int, Array[Double])])
+      .foreach(_.foreach { case (i, row) => updated.setRow(i, row) })
   }
 
-  /** Persists and counts one Pres table (unpersisting it again if the count
-    * fails). The local checkpoint truncates its lineage, so the table
-    * neither keeps the broadcasts of earlier tables alive nor grows an
-    * unbounded chain of patch closures across iterations.
+  /** Persists and counts one Pres table in a job described by
+    * `description` (unpersisting it again if the count fails). The local
+    * checkpoint truncates its lineage, so the table neither keeps the
+    * broadcasts of earlier tables alive nor grows an unbounded chain of
+    * patch closures across iterations.
     */
-  private def materialize(p: RDD[(TensorEntry, Array[Double])]): RDD[(TensorEntry, Array[Double])] = {
+  private def materialize(p: RDD[(TensorEntry, Array[Double])],
+                          description: String): RDD[(TensorEntry, Array[Double])] = {
     p.persist(StorageLevel.MEMORY_AND_DISK)
     p.localCheckpoint()
-    try p.count()
+    try Jobs.run(p, description, new Jobs.Count[(TensorEntry, Array[Double])])
     catch { case e: Throwable => p.unpersist(blocking = false); throw e }
     p
   }
@@ -835,35 +860,41 @@ object PTucker {
 
   /** Eq. (14): partial reconstruction error R(β) for every surviving core
     * cell, accumulated in one distributed pass over `blocks`, which must hold
-    * every entry once (one mode's `BlockLayout.modeBlocks`):
+    * every entry once (one mode's `BlockLayout.modeBlocks`), in a job tagged
+    * with iteration `iter`:
     * `R(β) = Σ_α p_β(α) · (2·pred(α) - p_β(α) - 2·x_α)` where
-    * `p_β(α) = G_β ∏_n a^{(n)}_{i_n j_n}` and `pred = Σ_β p_β`.
+    * `p_β(α) = G_β ∏_n a^{(n)}_{i_n j_n}` and `pred = Σ_β p_β`. The
+    * partitions' sums are added in partition order.
     */
   private[core] def computeRBeta(spark: SparkSession, blocks: RDD[RowBlock],
-                                 factors: Array[DenseMatrix], core: CoreTensor): Array[Double] = {
+                                 factors: Array[DenseMatrix], core: CoreTensor, iter: Int): Array[Double] = {
     val bM = spark.sparkContext.broadcast(modelData(factors, core))
-    val nCells = core.nnz
-    try {
-      blocks.treeAggregate(new Array[Double](nCells))(
-        seqOp = { (acc, blk) =>
-          val (f, tree) = bM.value
-          val s = tree.scratch()
-          val idx = new Array[Int](blk.order)
-          val ps = new Array[Double](nCells)
-          var e = 0
-          while (e < blk.nnz) {
-            blk.indexInto(e, idx)
-            val pred = tree.products(idx, f, s, ps)
-            var b = 0
-            while (b < ps.length) {
-              acc(b) += ps(b) * (2.0 * pred - ps(b) - 2.0 * blk.values(e))
-              b += 1
-            }
-            e += 1
+    try Jobs.run(blocks, Jobs.tag(iter, 0, "r_beta"), new RBeta(bM, core.nnz)).reduce(mergeAcc)
+    finally bM.destroy()
+  }
+
+  /** One partition's share of [[computeRBeta]]. */
+  private final class RBeta(bM: Broadcast[ModelData], nCells: Int) extends PartitionTask[RowBlock, Array[Double]] {
+    def apply(ctx: TaskContext, blocks: Iterator[RowBlock]): Array[Double] = {
+      val (f, tree) = bM.value
+      val s = tree.scratch()
+      val acc = new Array[Double](nCells)
+      val ps = new Array[Double](nCells)
+      blocks.foreach { blk =>
+        val idx = new Array[Int](blk.order)
+        var e = 0
+        while (e < blk.nnz) {
+          blk.indexInto(e, idx)
+          val pred = tree.products(idx, f, s, ps)
+          var b = 0
+          while (b < ps.length) {
+            acc(b) += ps(b) * (2.0 * pred - ps(b) - 2.0 * blk.values(e))
+            b += 1
           }
-          acc
-        },
-        combOp = mergeAcc)
-    } finally bM.destroy()
+          e += 1
+        }
+      }
+      acc
+    }
   }
 }

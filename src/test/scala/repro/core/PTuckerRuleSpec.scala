@@ -4,6 +4,9 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.linalg.DenseMatrix
 import repro.tensor.{CoreEntry, CoreTensor}
 
+import java.nio.file.{Files, Paths}
+import scala.jdk.CollectionConverters._
+
 /** Verifies the Eq. (10)-(13) kernels against straight-from-the-definition
   * reference implementations and a numerical argmin check (Theorem 1).
   * Driver-side only — no Spark needed at this altitude.
@@ -215,6 +218,29 @@ class PTuckerRuleSpec extends AnyFunSuite {
       assert(blk.values.toSeq == want.map(_._2).toSeq, s"mode $n")
       assert(blk.idx.toSeq == want.flatMap(_._1).toSeq, s"mode $n")
       assert(blk.parts.toSeq == (if (es.exists(_._1(n) == 2)) Seq(2) else Nil))
+    }
+  }
+
+  test("every task class handed to Jobs.run is named, so Spark's closure cleaner skips it") {
+    // The cleaner parses the declaring class file of a synthetic class (an
+    // indy lambda) or of a `$anonfun$` class on every job. A lambda passed
+    // where a PartitionTask is expected compiles to a `$anonfun$` class in
+    // this package, which this scan finds.
+    val base = classOf[PartitionTask[_, _]]
+    val root = Paths.get(base.getProtectionDomain.getCodeSource.getLocation.toURI)
+    assert(Files.isDirectory(root), s"$root: the scan reads compiled classes from a directory")
+    val files = Files.list(root.resolve("repro/core"))
+    val tasks =
+      try files.iterator.asScala.map(_.getFileName.toString).filter(_.endsWith(".class"))
+        .map(f => Class.forName("repro.core." + f.stripSuffix(".class"), false, base.getClassLoader))
+        .filter(c => c != base && base.isAssignableFrom(c)).map(_.getName).toSet
+      finally files.close()
+    val used = Set("Jobs$Count", "Jobs$Collect", "PTucker$CountRows", "PTucker$CountSquares",
+      "PTucker$SolveBlocks", "PTucker$RBeta").map("repro.core." + _)
+    assert(used.subsetOf(tasks), s"found only ${tasks.mkString(", ")}")
+    tasks.foreach { name =>
+      val c = Class.forName(name, false, base.getClassLoader)
+      assert(!c.isSynthetic && !name.contains("$anonfun$"), s"$name is a lambda")
     }
   }
 

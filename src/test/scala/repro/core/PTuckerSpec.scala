@@ -1,11 +1,14 @@
 package repro.core
 
-import org.apache.spark.BroadcastProbe
+import org.apache.spark.{BroadcastProbe, ListenerProbe}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.SpanSugar._
 import repro.{SparkSpec, TensorGen}
 import repro.linalg.DenseMatrix
 import repro.tensor.SparseTensor
+
+import scala.collection.mutable
 
 /** End-to-end behaviour of Algorithm 2 (+ variants) on small tensors. */
 class PTuckerSpec extends SparkSpec {
@@ -122,12 +125,6 @@ class PTuckerSpec extends SparkSpec {
         }
       }
     }
-    // the same seed gives an identical model
-    val a = PTucker.fit(spark, planted, baseConfig.copy(maxIters = 4))
-    val b = PTucker.fit(spark, planted, baseConfig.copy(maxIters = 4))
-    assert(a.history.map(_.error) == b.history.map(_.error))
-    assert(a.factors.zip(b.factors).forall { case (x, y) => x.data.sameElements(y.data) })
-    assert(a.core.entries.map(_.value).sameElements(b.core.entries.map(_.value)))
   }
 
   test("rows with many entries are split, so that no block holds much more than its share") {
@@ -303,6 +300,68 @@ class PTuckerSpec extends SparkSpec {
     }
   }
 
+  /** The descriptions of the jobs that `body` submits, in job order. */
+  private def jobDescriptions(body: => Any): Seq[String] = {
+    val sc = spark.sparkContext
+    val marker = "repro.test.fitJobs"
+    val seen = mutable.ArrayBuffer.empty[(Int, String)]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (e.properties != null && e.properties.getProperty(marker) != null)
+          seen.synchronized(seen += ((e.jobId, e.properties.getProperty("spark.job.description"))))
+    }
+    sc.addSparkListener(listener)
+    sc.setLocalProperty(marker, "1")
+    try body
+    finally {
+      sc.setLocalProperty(marker, null)
+      ListenerProbe.drain(sc)
+      sc.removeSparkListener(listener)
+    }
+    seen.synchronized(seen.sortBy(_._1).map(_._2).toList)
+  }
+
+  test("every fit job is tagged ptucker/i<k>/m<n>/<phase>, and the caller's description survives") {
+    val sc = spark.sparkContext
+    val iters = 2
+    val setUp = Seq("ptucker/i0/m0/open", "ptucker/i0/m0/materialize")
+    def modes(k: Int, phase: Int => Seq[String]) = (0 until 3).flatMap(n => s"ptucker/i$k/m$n/mode_update" +: phase(n))
+    val want = Map[PTuckerVariant, Seq[String]](
+      PTuckerVariant.Default -> (setUp ++ (1 to iters).flatMap(k => modes(k, _ => Nil))),
+      PTuckerVariant.Approx -> (setUp ++ (1 to iters).flatMap(k => modes(k, _ => Nil) :+ s"ptucker/i$k/m0/r_beta")),
+      PTuckerVariant.Cache -> (setUp ++ (1 to iters).flatMap(k => modes(k, n =>
+        s"ptucker/i$k/m$n/materialize" +: (if (n == 2) Seq(s"ptucker/i$k/m$n/error_pass") else Nil)))))
+    planted.nnz // the input's own cache is built outside the listened jobs
+    sc.setJobDescription("caller")
+    try {
+      for (v <- variants) {
+        val got = jobDescriptions(PTucker.fit(spark, planted, baseConfig.copy(variant = v, maxIters = iters)))
+        assert(got == want(v), s"$v")
+        assert(sc.getLocalProperty("spark.job.description") == "caller", s"$v")
+      }
+      assert(want(PTuckerVariant.Default).size == 2 + 3 * iters)
+      assert(want(PTuckerVariant.Approx).size == 2 + 4 * iters)
+      intercept[IllegalStateException] {
+        PTucker.fit(spark, overflowTensor(), PTuckerConfig(ranks = Array(2, 2), maxIters = 5, partitions = 2))
+      }
+      assert(sc.getLocalProperty("spark.job.description") == "caller", "after a failed fit")
+    } finally sc.setJobDescription(null)
+  }
+
+  test("two same-seed fits at T = 4 are bit-identical, for Default and Approx") {
+    // Every sum over partitions (‖X‖, the Eq.-6 error, R(β)) is taken in
+    // partition order, not in the order in which tasks finish.
+    def bits(m: TuckerModel) = (
+      m.history.map(s => (java.lang.Double.doubleToLongBits(s.error), java.lang.Double.doubleToLongBits(s.fit),
+        s.coreNnz)),
+      m.factors.map(_.data.map(java.lang.Double.doubleToLongBits).toSeq).toSeq,
+      m.core.entries.map(e => (e.idx.toSeq, java.lang.Double.doubleToLongBits(e.value))).toSeq)
+    for (v <- Seq(PTuckerVariant.Default, PTuckerVariant.Approx)) {
+      val cfg = baseConfig.copy(variant = v, maxIters = 4)
+      assert(bits(PTucker.fit(spark, planted, cfg)) == bits(PTucker.fit(spark, planted, cfg)), s"$v")
+    }
+  }
+
   test("computeRBeta matches the literal Eq. (14) error difference") {
     val t = plantedTensor(nnz = 120, seed = 11)
     val entries = t.collectEntries()
@@ -312,7 +371,7 @@ class PTuckerSpec extends SparkSpec {
     val got =
       try {
         layout.open(factors, core)
-        PTucker.computeRBeta(spark, layout.modeBlocks(0), factors, core)
+        PTucker.computeRBeta(spark, layout.modeBlocks(0), factors, core, iter = 1)
       } finally layout.close()
 
     def sse(cells: Array[repro.tensor.CoreEntry]): Double =
