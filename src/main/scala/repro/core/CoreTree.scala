@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.core.TuckerKernels.FactorData
-import repro.tensor.CoreTensor
+import repro.tensor.{CoreEntry, CoreTensor}
 
 import scala.collection.mutable
 
@@ -139,6 +139,39 @@ final class CoreTree private (val order: Int, ids: Array[Array[Int]], ptr: Array
 }
 
 object CoreTree {
+
+  /** The cells seen from the top level, mode N−1: cell `b` is the pair of
+    * its `j_{N-1}`, `topOf(b)`, and its rest tuple `(j_{N-2}, …, j_0)`, leaf
+    * `restOf(b)` of `rest`. `rest` is the (N−1)-mode tree of the cells'
+    * distinct rest tuples with unit leaves, so its [[CoreTree.products]]
+    * are `u(ρ) = ∏_{k<N−1} a^(k)_{i_k ρ_k}`, one per rest tuple: at most
+    * `min(|G|, ∏_{k<N−1} J_k)` of them.
+    */
+  final case class TopSplit(rest: CoreTree, restOf: Array[Int], topOf: Array[Int]) {
+    /** The number of cells. */
+    def nnz: Int = restOf.length
+  }
+
+  /** `core`'s [[TopSplit]]; `core` has order ≥ 2. */
+  def topSplit(core: CoreTensor): TopSplit = {
+    val top = core.order - 1
+    require(top >= 1, s"a core of order ${core.order} has no rest tuples")
+    val restDims = core.dims.take(top)
+    // The rest tuple's position in DenseTensor.indices order (mode 0 fastest).
+    val key = core.entries.map { e =>
+      var l = 0L
+      var k = top - 1
+      while (k >= 0) { l = l * restDims(k) + e.idx(k); k -= 1 }
+      l
+    }
+    val distinct = key.distinct.sorted
+    val rest = distinct.map { l =>
+      var r = l
+      CoreEntry(Array.tabulate(top) { k => val i = (r % restDims(k)).toInt; r /= restDims(k); i }, 1.0)
+    }
+    TopSplit(CoreTree(new CoreTensor(restDims, rest)), key.map(java.util.Arrays.binarySearch(distinct, _)),
+      core.entries.map(_.idx(top)))
+  }
 
   /** Builds the tree of `core`'s cells. They must be in strictly ascending
     * `DenseTensor.indices` order (mode 0 fastest), as `CoreTensor.rand`,

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.{HashPartitioner, SparkException, TaskContext}
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.rdd.{PartitionPruningRDD, RDD}
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Row, SparkSession}
 import org.apache.spark.storage.StorageLevel
 import repro.linalg.DenseMatrix
@@ -61,15 +61,20 @@ final case class PTuckerConfig(ranks: Array[Int],
   */
 object PTucker {
 
+  import CoreTree.TopSplit
   import TuckerKernels.{CoreCells, FactorData, NoSkip, cellProduct, coreCells, factorData}
 
-  /** What a task needs of the model: the factors and the core's tree, built
-    * once on the driver and shipped in one broadcast.
+  /** What a task needs of the model: the factors, the core's tree and, for
+    * R(β) in Approx's last mode update, the core's [[CoreTree.TopSplit]].
+    * Built once on the driver and shipped in one broadcast.
     */
-  private[core] type ModelData = (FactorData, CoreTree)
+  private[core] final case class ModelData(f: FactorData, tree: CoreTree, split: Option[TopSplit])
 
-  private def modelData(factors: Array[DenseMatrix], core: CoreTensor): ModelData =
-    (factorData(factors), CoreTree(core))
+  private def modelData(factors: Array[DenseMatrix], core: CoreTensor, withSplit: Boolean = false): ModelData =
+    ModelData(factorData(factors), CoreTree(core), if (withSplit) Some(CoreTree.topSplit(core)) else None)
+
+  /** What a mode update yields besides its rows (see [[Layout.updateMode]]). */
+  private[core] final case class ModeStats(sse: Double, rBeta: Option[Array[Double]])
 
   def fit(spark: SparkSession, tensor: SparseTensor, config: PTuckerConfig): TuckerModel = {
     val order = tensor.order
@@ -81,11 +86,12 @@ object PTucker {
     require(config.lambda >= 0, s"lambda ${config.lambda} < 0")
     require(config.truncationRate >= 0 && config.truncationRate < 1,
       s"truncationRate ${config.truncationRate} outside [0, 1)")
+    require(config.variant != PTuckerVariant.Approx || order >= 2, "P-Tucker-Approx needs an order of at least 2")
     val T = if (config.partitions > 0) config.partitions else spark.sparkContext.defaultParallelism
     // Default and Approx update over row blocks, Cache over its Pres table.
-    val blocks =
-      if (config.variant == PTuckerVariant.Cache) None else Some(new BlockLayout(spark, tensor, T, config))
-    val layout: Layout = blocks.getOrElse(new PresLayout(spark, tensor, T, config))
+    val layout: Layout =
+      if (config.variant == PTuckerVariant.Cache) new PresLayout(spark, tensor, T, config)
+      else new BlockLayout(spark, tensor, T, config)
     try {
       // Line 1 of Algorithm 2: Uniform(0,1) init of factors and core.
       val factors = Array.tabulate(order)(n =>
@@ -99,26 +105,28 @@ object PTucker {
       var iter = 0
       while (iter < config.maxIters && !converged) {
         val t0 = System.nanoTime()
+        // Algorithm 4: Approx drops this many "noisy" core cells after the
+        // iteration's mode updates.
+        val drop =
+          if (config.variant == PTuckerVariant.Approx) math.min((config.truncationRate * core.nnz).toInt, core.nnz - 1)
+          else 0
 
         // Algorithm 2 lines 3-4: update each A^(n); the last update also
-        // returns the reconstruction error (Eq. 6) with the final factors.
-        var sse = 0.0
+        // returns the reconstruction error (Eq. 6) with the final factors,
+        // and R(β) (Eq. 14) when cells are to be dropped.
+        var stats: ModeStats = null
         var n = 0
         while (n < order) {
-          sse = layout.updateMode(iter + 1, n, factors, core, last = n == order - 1)
+          stats = layout.updateMode(iter + 1, n, factors, core, rBeta = drop > 0)
           n += 1
         }
-        val error = math.sqrt(sse)
+        val error = math.sqrt(stats.sse)
         if (!error.isFinite)
           throw new IllegalStateException(
             s"P-Tucker ${config.variant}: reconstruction error is $error at iteration ${iter + 1}")
 
         // Algorithm 2 lines 5-6 (+ Algorithm 4): truncate "noisy" core cells.
-        if (config.variant == PTuckerVariant.Approx && core.nnz > 1) {
-          val r = computeRBeta(spark, blocks.get.modeBlocks(0), factors, core, iter + 1)
-          val drop = math.min((config.truncationRate * core.nnz).toInt, core.nnz - 1)
-          if (drop > 0) core = core.truncate(r, drop)
-        }
+        stats.rBeta.foreach(r => core = core.truncate(r, drop))
 
         val millis = (System.nanoTime() - t0) / 1000000L
         history :+= IterStat(iter + 1, millis, error, 1.0 - error / normX, core.nnz)
@@ -153,58 +161,60 @@ object PTucker {
 
     /** Eq. (10)-(13) for mode `n` in iteration `iter` (from 1): replaces
       * `factors(n)` by the solved rows. Rows with Ω^(n)_{i_n} = ∅ have B = 0,
-      * c = 0, so Eq. (10) gives the zero row (pure regularization). With
-      * `last`, returns the squared reconstruction error (Eq. 6) with the
-      * updated factors, else 0. A failed row solve throws an
-      * IllegalStateException ([[rowSolve]]).
+      * c = 0, so Eq. (10) gives the zero row (pure regularization). The
+      * last mode returns the squared reconstruction error (Eq. 6) with the
+      * updated factors and, with `rBeta`, R(β) (Eq. 14) for each of
+      * `core`'s cells; the other modes return `ModeStats(0, None)`. A failed
+      * row solve throws an IllegalStateException ([[rowSolve]]).
       */
-    def updateMode(iter: Int, n: Int, factors: Array[DenseMatrix], core: CoreTensor, last: Boolean): Double
+    def updateMode(iter: Int, n: Int, factors: Array[DenseMatrix], core: CoreTensor, rBeta: Boolean): ModeStats
 
     /** Releases everything the layout persisted or broadcast. */
     def close(): Unit
   }
 
   /** Default and Approx: the entries in row blocks ([[rowBlocks]]), placed
-    * by [[Placement]]. A mode update is one stage of T tasks over the mode's
-    * blocks, with no shuffle ([[solveBlocks]]).
+    * by [[Placement]]. A mode update is one stage of T tasks, each over its
+    * partition's block of the mode, with no shuffle ([[solveBlocks]]).
     */
   private[core] final class BlockLayout(spark: SparkSession, tensor: SparseTensor, T: Int,
                                         config: PTuckerConfig) extends Layout {
     private val sc = spark.sparkContext
     private var placement: Broadcast[Placement] = _
-    private var blocks: RDD[RowBlock] = _
+    private var rdd: RDD[Array[RowBlock]] = _
+
+    /** T partitions; partition `b` holds every mode's block `b`, mode `n`'s
+      * at index `n`. Null before [[open]].
+      */
+    def blocks: RDD[Array[RowBlock]] = rdd
 
     def open(factors: Array[DenseMatrix], core: CoreTensor): Double = {
       val (counts, sumSq) = inputChecked(countRows(tensor))
       val nnz = counts(0).sum
       require(nnz > 0, "empty tensor")
       placement = sc.broadcast(Placement(counts, nnz, T))
-      blocks = rowBlocks(tensor, placement, T)
-      Jobs.run(blocks, Jobs.tag(0, 0, "materialize"), new Jobs.Count[RowBlock])
+      rdd = rowBlocks(tensor, placement, T)
+      Jobs.run(rdd, Jobs.tag(0, 0, "materialize"), new Jobs.Count[Array[RowBlock]])
       math.sqrt(sumSq)
     }
 
-    /** Mode `n`'s T blocks, which together hold every entry once. */
-    def modeBlocks(n: Int): RDD[RowBlock] = {
-      val t = T // the filter is serialized with the RDD; it must not capture the layout
-      PartitionPruningRDD.create(blocks, _ / t == n)
-    }
-
-    def updateMode(iter: Int, n: Int, factors: Array[DenseMatrix], core: CoreTensor, last: Boolean): Double = {
-      val bM = sc.broadcast(modelData(factors, core))
+    def updateMode(iter: Int, n: Int, factors: Array[DenseMatrix], core: CoreTensor, rBeta: Boolean): ModeStats = {
+      val last = n == tensor.order - 1
+      val model = modelData(factors, core, withSplit = last && rBeta)
+      val bM = sc.broadcast(model)
       try {
         val updated = DenseMatrix.zeros(tensor.dims(n), config.ranks(n))
-        val sse = rowSolve(config.variant, iter, n) {
-          solveBlocks(modeBlocks(n), Jobs.tag(iter, n, "mode_update"), n, config.ranks(n), config.lambda, last,
-            bM, factors(n), updated)
+        val stats = rowSolve(config.variant, iter, n) {
+          solveBlocks(rdd, Jobs.tag(iter, n, "mode_update"), n, config.ranks(n), config.lambda, last,
+            bM, model.split, core, factors(n), updated)
         }
         factors(n) = updated
-        sse
+        stats
       } finally bM.destroy()
     }
 
     def close(): Unit = {
-      if (blocks != null) blocks.unpersist(blocking = false)
+      if (rdd != null) rdd.unpersist(blocking = false)
       if (placement != null) placement.destroy()
     }
   }
@@ -241,7 +251,7 @@ object PTucker {
       // Algorithm 3 lines 1-4: precompute the Pres cache table.
       val bM = broadcast(modelData(factors, core))
       pres = materialize(entries.mapPartitions { es =>
-        val (f, tree) = bM.value
+        val ModelData(f, tree, _) = bM.value
         val s = tree.scratch()
         es.map(e => (e, computePres(e.idx, f, tree, s)))
       }, Jobs.tag(0, 0, "materialize"))
@@ -249,7 +259,8 @@ object PTucker {
       math.sqrt(sumSq)
     }
 
-    def updateMode(iter: Int, n: Int, factors: Array[DenseMatrix], core: CoreTensor, last: Boolean): Double = {
+    def updateMode(iter: Int, n: Int, factors: Array[DenseMatrix], core: CoreTensor, rBeta: Boolean): ModeStats = {
+      require(!rBeta, "P-Tucker-Cache computes no R(β)")
       val jn = config.ranks(n)
       val bF = broadcast(factorData(factors))
       val bC = broadcast(coreCells(core))
@@ -267,9 +278,11 @@ object PTucker {
       }, Jobs.tag(iter, n, "materialize"))
       old.unpersist(blocking = false)
       Seq(bF, bC, bNew).foreach(_.unpersist())
-      if (last)
-        Jobs.described(sc, Jobs.tag(iter, n, "error_pass"))(TuckerKernels.sumSquaredError(spark, entries, factors, core))
-      else 0.0
+      val sse =
+        if (n == tensor.order - 1)
+          Jobs.described(sc, Jobs.tag(iter, n, "error_pass"))(TuckerKernels.sumSquaredError(spark, entries, factors, core))
+        else 0.0
+      ModeStats(sse, None)
     }
 
     def close(): Unit = {
@@ -381,24 +394,50 @@ object PTucker {
     def apply(counts: Array[Array[Long]], nnz: Long, T: Int): Placement = {
       val cap = math.max(1L, (nnz + 2L * T - 1) / (2L * T))
       val home = counts.map(c => new Array[Int](c.length))
-      val splits = counts.indices.map { n =>
+      val splits = Array.tabulate(counts.length) { n =>
         val c = counts(n)
-        val rows = c.indices.filter(c(_) > 0)
+        val rowsB = new mutable.ArrayBuilder.ofInt
+        var i = 0
+        while (i < c.length) { if (c(i) > 0) rowsB += i; i += 1 }
+        val rows = rowsB.result()
         val parts = rows.map(i => math.min((c(i) + cap - 1) / cap, T.toLong).toInt)
-        val size = rows.indices.map(r => c(rows(r)) / parts(r))
-        val loads = mutable.PriorityQueue((0 until T).map(b => (0L, b)): _*)(Ordering[(Long, Int)].reverse)
+        val size = Array.tabulate(rows.length)(r => c(rows(r)) / parts(r))
+        // Largest first; the sort is stable, so equal sizes keep ascending rows.
+        val bySize = Array.range(0, rows.length)
+        mergeSort(bySize, new Array[Int](rows.length), 0, rows.length, (x, y) => java.lang.Long.compare(size(y), size(x)))
+        val loads = new Loads(T)
         val split = mutable.ArrayBuffer.empty[Array[Int]]
-        rows.indices.sortBy(r => (-size(r), rows(r))).foreach { r =>
-          val blocks = Array.fill(parts(r)) {
-            val (load, b) = loads.dequeue()
-            loads.enqueue((load + size(r), b))
-            b
-          }
+        bySize.foreach { r =>
+          val blocks = Array.fill(parts(r))(loads.take(size(r)))
           home(n)(rows(r)) = if (blocks.length == 1) blocks(0) else { split += blocks; -split.length }
         }
         split.toArray
       }
-      Placement(home, splits.toArray)
+      Placement(home, splits)
+    }
+  }
+
+  /** T blocks' loads, as a binary min-heap of the blocks on `(load, block)`. */
+  private final class Loads(T: Int) {
+    private val load = new Array[Long](T)
+    private val heap = Array.range(0, T) // all loads 0: ascending blocks are a heap
+    private def before(x: Int, y: Int): Boolean = load(x) < load(y) || (load(x) == load(y) && x < y)
+
+    /** The block with the least load (ties to the lower block), after adding
+      * `size` to its load.
+      */
+    def take(size: Long): Int = {
+      val b = heap(0)
+      load(b) += size
+      var k = 0
+      var done = false
+      while (!done && 2 * k + 1 < T) {
+        var c = 2 * k + 1
+        if (c + 1 < T && before(heap(c + 1), heap(c))) c += 1
+        if (before(heap(c), b)) { heap(k) = heap(c); k = c } else done = true
+      }
+      heap(k) = b
+      b
     }
   }
 
@@ -409,19 +448,24 @@ object PTucker {
     */
   private[core] final case class RowBlock(idx: Array[Int], values: Array[Double], parts: Array[Int]) {
     def nnz: Int = values.length
+    /** N; not defined for an empty block. */
     def order: Int = idx.length / values.length
     def isPart(i: Int): Boolean = java.util.Arrays.binarySearch(parts, i) >= 0
     /** Copies entry `e`'s indices into `out` (length N). */
     def indexInto(e: Int, out: Array[Int]): Unit = System.arraycopy(idx, e * out.length, out, 0, out.length)
   }
 
-  /** The row-block layout, built with one shuffle: partition `n·T + b` holds
-    * one [[RowBlock]] of the entries that `placement` sends to mode `n`'s
-    * block `b`, so every entry is stored N times. Each map task sends one
-    * columnar chunk per block. Partitions without entries hold no block. The
-    * result is persisted but not yet computed.
+  private object RowBlock {
+    val Empty: RowBlock = RowBlock(Array.emptyIntArray, Array.emptyDoubleArray, Array.emptyIntArray)
+  }
+
+  /** The row-block layout, built with one shuffle: partition `b` of T holds
+    * an array of N [[RowBlock]]s, the `n`-th with the entries that
+    * `placement` sends to mode `n`'s block `b` (empty if there are none), so
+    * every entry is stored N times. Each map task sends one columnar chunk
+    * per mode and block. The result is persisted but not yet computed.
     */
-  private def rowBlocks(tensor: SparseTensor, placement: Broadcast[Placement], T: Int): RDD[RowBlock] = {
+  private def rowBlocks(tensor: SparseTensor, placement: Broadcast[Placement], T: Int): RDD[Array[RowBlock]] = {
     val order = tensor.order
     val dims = tensor.dims
     tensor.df.rdd
@@ -441,13 +485,16 @@ object PTucker {
           }
         }
         Iterator.range(0, order * T).collect {
-          case p if values(p).length > 0 => (p, (src, idx(p).result(), values(p).result()))
+          case p if values(p).length > 0 => (p % T, (p / T, src, idx(p).result(), values(p).result()))
         }
       }
-      .partitionBy(new HashPartitioner(order * T))
-      .mapPartitionsWithIndex { (p, chunks) =>
-        val n = p / T
-        sortedBlock(n, dims(n), order, chunks.map(_._2), placement.value.isSplit(n, _))
+      .partitionBy(new HashPartitioner(T))
+      .mapPartitions { chunks =>
+        val all = chunks.map(_._2).toArray
+        Iterator.single(Array.tabulate(order) { n =>
+          val mine = all.iterator.filter(_._1 == n).map { case (_, src, i, v) => (src, i, v) }
+          sortedBlock(n, dims(n), order, mine, placement.value.isSplit(n, _))
+        })
       }
       .persist(StorageLevel.MEMORY_AND_DISK)
   }
@@ -459,18 +506,19 @@ object PTucker {
     * order of the entries, and with it every row's summation order, then
     * depends neither on the order in which the shuffle delivered the chunks
     * nor, for a row that is not split, on T. The sort is a counting sort on
-    * the mode-`n` index, then a merge sort of each row's run.
+    * the mode-`n` index, then a merge sort of each row's run. No chunks give
+    * the empty block.
     */
   private[core] def sortedBlock(n: Int, dim: Int, order: Int,
                                 chunks: Iterator[(Int, Array[Int], Array[Double])],
-                                isSplit: Int => Boolean): Iterator[RowBlock] = {
+                                isSplit: Int => Boolean): RowBlock = {
     val idxB = new mutable.ArrayBuilder.ofInt
     val valuesB = new mutable.ArrayBuilder.ofDouble
     chunks.toArray.sortBy(_._1).foreach { case (_, i, v) => idxB ++= i; valuesB ++= v }
     val idx = idxB.result()
     val values = valuesB.result()
     val m = values.length
-    if (m == 0) return Iterator.empty
+    if (m == 0) return RowBlock.Empty
     val start = new Array[Int](dim + 1)
     var e = 0
     while (e < m) { start(idx(e * order + n) + 1) += 1; e += 1 }
@@ -511,7 +559,7 @@ object PTucker {
       if ((e == 0 || sortedIdx((e - 1) * order + n) != i) && isSplit(i)) parts += i
       e += 1
     }
-    Iterator.single(RowBlock(sortedIdx, sortedValues, parts.result()))
+    RowBlock(sortedIdx, sortedValues, parts.result())
   }
 
   /** Stable merge sort of `a(lo until hi)` by `cmp`, with `tmp` (as long as
@@ -545,29 +593,36 @@ object PTucker {
     }
 
   /** One block's share of a mode update (see [[solveBlock]]): the solved
-    * rows (row-major) with the SSE over their entries, and each part of a
-    * split row, `partStride(J)` doubles apiece.
+    * rows (row-major) with the SSE over their entries, each part of a split
+    * row, `partStride` doubles apiece, and, for R(β), the block's `Y` then
+    * `Z` per cell ([[RBetaSums]]; empty without R(β)).
     */
   private final case class BlockSolve(rows: Array[Int], data: Array[Double], sse: Double,
-                                      partRows: Array[Int], parts: Array[Double])
+                                      partRows: Array[Int], parts: Array[Double], yz: Array[Double])
 
-  /** A part's `(B | c)`, `s` and `g` (see [[solveBlock]]). */
-  private def partStride(jn: Int): Int = jn * jn + 2 * jn + 1
+  /** A part's `(B | c)`, `s` and `g`, then with R(β) its `W₀`, `M` and `V`
+    * (see [[solveBlock]]).
+    */
+  private def partStride(jn: Int, split: Option[TopSplit]): Int =
+    jn * jn + 2 * jn + 1 + split.fold(0)(sp => (jn + 2) * sp.rest.nnz)
 
   /** Mode `n`'s update over its row blocks: one job described by
-    * `description`, one task per block, no shuffle. Rows come back solved,
-    * except a split row, whose parts' `(B | c)` the driver sums, in
-    * partition order, and solves. Writes every row into `updated`. With
-    * `withSse`, returns Eq. (6)'s sum over the mode's entries with the new
-    * rows (`old` holds the rows before the update): each block's SSE in
-    * partition order, then each part's [[partSse]].
+    * `description`, one task per partition, each over the partition's
+    * mode-`n` block, no shuffle. Rows come back solved, except a split row,
+    * whose parts' `(B | c)` the driver sums, in partition order, and solves.
+    * Writes every row into `updated`. With `withSse`, the stats hold Eq.
+    * (6)'s sum over the mode's entries with the new rows (`old` holds the
+    * rows before the update): each block's SSE in partition order, then each
+    * part's [[partSse]]. With `split` (the last mode only), they also hold
+    * R(β) for each of `core`'s cells, summed in the same order.
     */
-  private def solveBlocks(blocks: RDD[RowBlock], description: String, n: Int, jn: Int, lambda: Double,
-                          withSse: Boolean, bM: Broadcast[ModelData], old: DenseMatrix,
-                          updated: DenseMatrix): Double = {
+  private def solveBlocks(blocks: RDD[Array[RowBlock]], description: String, n: Int, jn: Int, lambda: Double,
+                          withSse: Boolean, bM: Broadcast[ModelData], split: Option[TopSplit], core: CoreTensor,
+                          old: DenseMatrix, updated: DenseMatrix): ModeStats = {
     val solved = Jobs.run(blocks, description, new SolveBlocks(n, jn, lambda, withSse, bM)).flatten
-    val stride = partStride(jn)
-    val split = mutable.LinkedHashMap.empty[Int, Array[Double]]
+    val stride = partStride(jn, split)
+    val rb = split.map(new RBetaSums(_, jn))
+    val splitRows = mutable.LinkedHashMap.empty[Int, Array[Double]]
     var sse = 0.0
     solved.foreach { s =>
       var r = 0
@@ -576,24 +631,32 @@ object PTucker {
         r += 1
       }
       sse += s.sse
+      rb.foreach(b => mergeAcc(b.yz, s.yz))
       s.partRows.indices.foreach { q =>
-        mergeAcc(split.getOrElseUpdate(s.partRows(q), new Array[Double](jn * jn + jn)),
+        mergeAcc(splitRows.getOrElseUpdate(s.partRows(q), new Array[Double](jn * jn + jn)),
           java.util.Arrays.copyOfRange(s.parts, q * stride, q * stride + jn * jn + jn))
       }
     }
-    split.foreach { case (i, acc) => updated.setRow(i, solveRow(acc, jn, lambda)) }
+    splitRows.foreach { case (i, acc) => updated.setRow(i, solveRow(acc, jn, lambda)) }
     if (withSse)
       solved.foreach { s =>
-        s.partRows.indices.foreach(q => sse += partSse(s.parts, q * stride, jn, s.partRows(q), old, updated))
+        s.partRows.indices.foreach { q =>
+          val i = s.partRows(q)
+          val d = Array.tabulate(jn)(j => updated(i, j) - old(i, j))
+          sse += partSse(s.parts, q * stride, jn, d)
+          rb.foreach(_.addPart(s.parts, q * stride + jn * jn + 2 * jn + 1, d, updated.data, i * jn))
+        }
       }
-    sse
+    ModeStats(sse, rb.map(_.rBeta(core)))
   }
 
-  /** [[solveBlock]] of a partition's block; `None` for a partition without one. */
+  /** [[solveBlock]] of a partition's mode-`n` block; `None` for an empty one. */
   private final class SolveBlocks(n: Int, jn: Int, lambda: Double, withSse: Boolean, bM: Broadcast[ModelData])
-      extends PartitionTask[RowBlock, Option[BlockSolve]] {
-    def apply(ctx: TaskContext, it: Iterator[RowBlock]): Option[BlockSolve] =
-      if (it.hasNext) Some(solveBlock(it.next(), n, jn, lambda, withSse, bM.value)) else None
+      extends PartitionTask[Array[RowBlock], Option[BlockSolve]] {
+    def apply(ctx: TaskContext, it: Iterator[Array[RowBlock]]): Option[BlockSolve] = {
+      val b = it.next()(n)
+      if (b.nnz > 0) Some(solveBlock(b, n, jn, lambda, withSse, bM.value)) else None
+    }
   }
 
   /** Mode `n`'s update of one row block. For each row's run, `acc = (B | c)`
@@ -603,12 +666,15 @@ object PTucker {
     * of Eq. (6) with the final factors. A run that is one part of a split
     * row returns `acc` instead, followed, with `withSse`, by `s = Σ r₀²` and
     * `g = Σ r₀·δ`, where `r₀ = x − a_old·δ` is the residual with the row's
-    * old value (zeros without `withSse`).
+    * old value (zeros without `withSse`). With the model's split (the last
+    * mode of an Approx iteration that truncates), each run also feeds its
+    * residuals into the block's [[RBetaSums]].
     */
   private def solveBlock(b: RowBlock, n: Int, jn: Int, lambda: Double, withSse: Boolean,
                          model: ModelData): BlockSolve = {
-    val (f, tree) = model
+    val ModelData(f, tree, split) = model
     val s = tree.scratch()
+    val rb = split.map(new RBetaSums(_, jn)).orNull
     val order = b.order
     val idx = new Array[Int](order)
     val acc = new Array[Double](jn * jn + jn)
@@ -632,7 +698,9 @@ object PTucker {
         if (withSse) runDeltas += delta
         e += 1
       }
+      if (rb != null) rb.startRun()
       if (b.isPart(i)) {
+        mirror(acc, jn)
         val g = new Array[Double](jn)
         var s = 0.0
         var k = 0
@@ -641,26 +709,31 @@ object PTucker {
           s += r0 * r0
           var j = 0
           while (j < jn) { g(j) += r0 * runDeltas(k)(j); j += 1 }
+          if (rb != null) { b.indexInto(start + k, idx); rb.add(idx, f, r0, runDeltas(k)) }
           k += 1
         }
         partRows += i
         parts ++= acc
         parts += s
         parts ++= g
+        if (rb != null) rb.ship(parts)
       } else {
         val row = solveRow(acc, jn, lambda)
         var k = 0
         while (k < runDeltas.length) {
           val r = residual(b.values(start + k), row, 0, runDeltas(k))
           sse += r * r
+          if (rb != null) { b.indexInto(start + k, idx); rb.add(idx, f, r, null) }
           k += 1
         }
+        if (rb != null) rb.addRow(row, 0)
         rows += i
         data ++= row
       }
       start = e
     }
-    BlockSolve(rows.result(), data.result(), sse, partRows.result(), parts.result())
+    BlockSolve(rows.result(), data.result(), sse, partRows.result(), parts.result(),
+      if (rb == null) Array.emptyDoubleArray else rb.yz)
   }
 
   /** `x − a·δ` for the row `a = rows(off until off + δ.length)`. */
@@ -671,16 +744,13 @@ object PTucker {
     x - pred
   }
 
-  /** One part's share of Eq. (6) with split row `i`'s new value `a`, from
-    * the part's B, `s` and `g` at `off` in `parts` (see [[solveBlock]]).
-    * With `r = r₀ − d·δ` and `d = a − a_old`, it is `s − 2·d·g + dᵀ·B·d`:
-    * the residuals' sum expanded around the old row, exact up to rounding,
-    * which grows only as far as the new row fits the part better than the
-    * old one.
+  /** One part's share of Eq. (6) with its split row's change `d = a − a_old`,
+    * from the part's B, `s` and `g` at `off` in `parts` (see [[solveBlock]]).
+    * With `r = r₀ − d·δ`, it is `s − 2·d·g + dᵀ·B·d`: the residuals' sum
+    * expanded around the old row, exact up to rounding, which grows only as
+    * far as the new row fits the part better than the old one.
     */
-  private def partSse(parts: Array[Double], off: Int, jn: Int, i: Int,
-                      old: DenseMatrix, updated: DenseMatrix): Double = {
-    val d = Array.tabulate(jn)(j => updated(i, j) - old(i, j))
+  private def partSse(parts: Array[Double], off: Int, jn: Int, d: Array[Double]): Double = {
     val sOff = off + jn * jn + jn
     var sse = parts(sOff)
     var a = 0
@@ -691,6 +761,99 @@ object PTucker {
       a += 1
     }
     sse
+  }
+
+  /** Eq. (14) from the last mode's runs, for the cells of `split`. In the
+    * last mode every cell `β` is a pair `(β_{N−1}, ρ)` of a column of the
+    * updated `A^(N−1)` and a rest tuple. With an entry's residual
+    * `r_α = x_α − a_i·δ_α` under the new row `a_i` and
+    * `u_α(ρ) = ∏_{k<N−1} a^(k)_{i_k ρ_k}`, dropping `β` changes the entry's
+    * squared error by `−2·r_α·p_β − p_β²`, `p_β = G_β·a_i(β_{N−1})·u_α(ρ)`.
+    * Summed over the entries, `R(β) = −2·G_β·Y_β − G_β²·Z_β` with
+    * `Y_β = Σ_i a_i(β_{N−1})·W_i(ρ)`, `W_i = Σ_{α∈run i} r_α·u_α`, and
+    * `Z_β = Σ_i a_i(β_{N−1})²·V_i(ρ)`, `V_i = Σ_{α∈run i} u_α∘u_α`. A run
+    * sums `W` and `V` ([[add]]), and its row adds them into `Y` and `Z`
+    * ([[addRow]]). A part of a split row does not know the new row, so it
+    * ships `W₀ = Σ r₀·u` with the old row's residual, `M = Σ δ⊗u` and `V`
+    * ([[ship]]), and the driver forms `W = W₀ − dᵀM` with `d = a − a_old`
+    * ([[addPart]]), as [[partSse]] expands Eq. (6).
+    */
+  private final class RBetaSums(split: TopSplit, jn: Int) {
+    private val rest = split.rest
+    private val nRest = rest.nnz
+    private val s = rest.scratch()
+    private val u = new Array[Double](nRest)
+    private val w = new Array[Double](nRest)
+    private val v = new Array[Double](nRest)
+    private val m = new Array[Double](jn * nRest)
+    /** `Y`, then `Z`, one per cell. */
+    val yz = new Array[Double](2 * split.nnz)
+
+    def startRun(): Unit = {
+      java.util.Arrays.fill(w, 0.0)
+      java.util.Arrays.fill(v, 0.0)
+      java.util.Arrays.fill(m, 0.0)
+    }
+
+    /** Adds an entry with indices `idx` and residual `r`; with its δ (a part
+      * of a split row, else null), also `δ⊗u` into `M`.
+      */
+    def add(idx: Array[Int], f: FactorData, r: Double, delta: Array[Double]): Unit = {
+      rest.products(idx, f, s, u)
+      var p = 0
+      while (p < nRest) { w(p) += r * u(p); v(p) += u(p) * u(p); p += 1 }
+      if (delta != null) {
+        var j = 0
+        while (j < jn) {
+          val dj = delta(j)
+          val off = j * nRest
+          p = 0
+          while (p < nRest) { m(off + p) += dj * u(p); p += 1 }
+          j += 1
+        }
+      }
+    }
+
+    /** Appends a part's `W₀`, `M` and `V` to `out`. */
+    def ship(out: mutable.ArrayBuilder.ofDouble): Unit = { out ++= w; out ++= m; out ++= v }
+
+    /** Adds a shipped part at `off` in `parts`, whose row changed by `d` to
+      * `a(aOff until aOff + J)`.
+      */
+    def addPart(parts: Array[Double], off: Int, d: Array[Double], a: Array[Double], aOff: Int): Unit = {
+      var p = 0
+      while (p < nRest) {
+        var x = parts(off + p)
+        var j = 0
+        while (j < jn) { x -= d(j) * parts(off + nRest + j * nRest + p); j += 1 }
+        w(p) = x
+        v(p) = parts(off + nRest + jn * nRest + p)
+        p += 1
+      }
+      addRow(a, aOff)
+    }
+
+    /** Adds the run's `W` and `V` under its row `a(aOff until aOff + J)`. */
+    def addRow(a: Array[Double], aOff: Int): Unit = {
+      val cells = split.nnz
+      var c = 0
+      while (c < cells) {
+        val ac = a(aOff + split.topOf(c))
+        val rc = split.restOf(c)
+        yz(c) += ac * w(rc)
+        yz(cells + c) += ac * ac * v(rc)
+        c += 1
+      }
+    }
+
+    /** R(β) for each of `core`'s cells, from the summed `Y` and `Z`. */
+    def rBeta(core: CoreTensor): Array[Double] = {
+      val cells = split.nnz
+      Array.tabulate(cells) { c =>
+        val g = core.entries(c).value
+        -2.0 * g * yz(c) - g * g * yz(cells + c)
+      }
+    }
   }
 
   /** Cache's mode-`n` update: δ read off each entry's Pres row (Alg. 3
@@ -743,8 +906,12 @@ object PTucker {
     * store the entries N times, once per mode's row blocks, in columnar
     * form (X itself, N copies), and a last-mode task also holds one run's
     * δ's for the Eq.-6 sum: one row's, or one part's of a split row, so
-    * about `|Ω|/2T · J` at most. The parts of split rows add `O(T·J²)` on
-    * the driver, and the row placement `Σ I_n` ints.
+    * about `|Ω|/2T · J` at most. Approx's last-mode task also holds the
+    * run sums of R(β) ([[RBetaSums]]): `W` and `V`, one double each per
+    * distinct rest tuple of the cells (at most `min(|G|, J^{N-1})`), a
+    * split part's `M` (J times as many), and the block's `Y` and `Z` (2|G|,
+    * which the driver sums into its R(β) vector). The parts of split rows
+    * add `O(T·J²)` on the driver, and the row placement `Σ I_n` ints.
     */
   def intermediateDoubles(config: PTuckerConfig, T: Int, nnz: Long): Long = {
     val j = config.ranks.max.toLong
@@ -823,8 +990,9 @@ object PTucker {
   }
 
   /** Accumulates Eq. (11)-(12) into one row's `acc = (B | c)` of length
-    * `J² + J`: `B += δδᵀ` in the first `J²` slots (row-major), `c += x·δ`
-    * in the last `J` (mutates `acc`).
+    * `J² + J`: `B += δδᵀ` in the first `J²` slots (row-major), upper
+    * triangle only ([[mirror]] fills the lower one), `c += x·δ` in the last
+    * `J` (mutates `acc`).
     */
   private[core] def accumulate(acc: Array[Double], delta: Array[Double], x: Double): Unit = {
     val jn = delta.length
@@ -834,9 +1002,22 @@ object PTucker {
       val da = delta(a)
       acc(cOff + a) += x * da
       if (da != 0.0) {
-        var b = 0
+        var b = a
         while (b < jn) { acc(a * jn + b) += da * delta(b); b += 1 }
       }
+      a += 1
+    }
+  }
+
+  /** Copies the upper triangle of the row-major `J×J` matrix at the start
+    * of `acc` into its lower one. `δ_a·δ_b = δ_b·δ_a` exactly, so the result
+    * is the B that summing both triangles would give, bit for bit.
+    */
+  private[core] def mirror(acc: Array[Double], jn: Int): Unit = {
+    var a = 1
+    while (a < jn) {
+      var b = 0
+      while (b < a) { acc(a * jn + b) = acc(b * jn + a); b += 1 }
       a += 1
     }
   }
@@ -847,54 +1028,16 @@ object PTucker {
     x
   }
 
-  /** Eq. (10): row = c · (B + λI)^{-1} from `acc = (B | c)`. B + λI is
+  /** Eq. (10): row = c · (B + λI)^{-1} from `acc = (B | c)`, with B's upper
+    * triangle filled ([[accumulate]]). B + λI is
     * symmetric positive definite for λ > 0, so this is the Cholesky solution
     * of `(B + λI) y = c`.
     */
   private[core] def solveRow(acc: Array[Double], jn: Int, lambda: Double): Array[Double] = {
     val m = new DenseMatrix(jn, jn, java.util.Arrays.copyOf(acc, jn * jn))
+    mirror(m.data, jn)
     var d = 0
     while (d < jn) { m(d, d) += lambda; d += 1 }
     DenseMatrix.solve(m, java.util.Arrays.copyOfRange(acc, jn * jn, jn * jn + jn))
-  }
-
-  /** Eq. (14): partial reconstruction error R(β) for every surviving core
-    * cell, accumulated in one distributed pass over `blocks`, which must hold
-    * every entry once (one mode's `BlockLayout.modeBlocks`), in a job tagged
-    * with iteration `iter`:
-    * `R(β) = Σ_α p_β(α) · (2·pred(α) - p_β(α) - 2·x_α)` where
-    * `p_β(α) = G_β ∏_n a^{(n)}_{i_n j_n}` and `pred = Σ_β p_β`. The
-    * partitions' sums are added in partition order.
-    */
-  private[core] def computeRBeta(spark: SparkSession, blocks: RDD[RowBlock],
-                                 factors: Array[DenseMatrix], core: CoreTensor, iter: Int): Array[Double] = {
-    val bM = spark.sparkContext.broadcast(modelData(factors, core))
-    try Jobs.run(blocks, Jobs.tag(iter, 0, "r_beta"), new RBeta(bM, core.nnz)).reduce(mergeAcc)
-    finally bM.destroy()
-  }
-
-  /** One partition's share of [[computeRBeta]]. */
-  private final class RBeta(bM: Broadcast[ModelData], nCells: Int) extends PartitionTask[RowBlock, Array[Double]] {
-    def apply(ctx: TaskContext, blocks: Iterator[RowBlock]): Array[Double] = {
-      val (f, tree) = bM.value
-      val s = tree.scratch()
-      val acc = new Array[Double](nCells)
-      val ps = new Array[Double](nCells)
-      blocks.foreach { blk =>
-        val idx = new Array[Int](blk.order)
-        var e = 0
-        while (e < blk.nnz) {
-          blk.indexInto(e, idx)
-          val pred = tree.products(idx, f, s, ps)
-          var b = 0
-          while (b < ps.length) {
-            acc(b) += ps(b) * (2.0 * pred - ps(b) - 2.0 * blk.values(e))
-            b += 1
-          }
-          e += 1
-        }
-      }
-      acc
-    }
   }
 }

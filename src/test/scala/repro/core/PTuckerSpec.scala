@@ -134,8 +134,9 @@ class PTuckerSpec extends SparkSpec {
       val layout = new PTucker.BlockLayout(spark, t, p, baseConfig.copy(partitions = p))
       try {
         layout.open(Array.empty, null)
+        assert(layout.blocks.getNumPartitions == p)
         (0 until 3).foreach { n =>
-          val sizes = layout.modeBlocks(n).map(_.nnz.toLong).collect()
+          val sizes = layout.blocks.map(_(n).nnz.toLong).collect()
           assert(sizes.sum == nnz, s"T=$p, mode $n: blocks hold ${sizes.sum} of $nnz entries")
           assert(sizes.max <= 1.5 * nnz / p, s"T=$p, mode $n: block sizes ${sizes.mkString(", ")}")
         }
@@ -328,7 +329,7 @@ class PTuckerSpec extends SparkSpec {
     def modes(k: Int, phase: Int => Seq[String]) = (0 until 3).flatMap(n => s"ptucker/i$k/m$n/mode_update" +: phase(n))
     val want = Map[PTuckerVariant, Seq[String]](
       PTuckerVariant.Default -> (setUp ++ (1 to iters).flatMap(k => modes(k, _ => Nil))),
-      PTuckerVariant.Approx -> (setUp ++ (1 to iters).flatMap(k => modes(k, _ => Nil) :+ s"ptucker/i$k/m0/r_beta")),
+      PTuckerVariant.Approx -> (setUp ++ (1 to iters).flatMap(k => modes(k, _ => Nil))),
       PTuckerVariant.Cache -> (setUp ++ (1 to iters).flatMap(k => modes(k, n =>
         s"ptucker/i$k/m$n/materialize" +: (if (n == 2) Seq(s"ptucker/i$k/m$n/error_pass") else Nil)))))
     planted.nnz // the input's own cache is built outside the listened jobs
@@ -340,7 +341,7 @@ class PTuckerSpec extends SparkSpec {
         assert(sc.getLocalProperty("spark.job.description") == "caller", s"$v")
       }
       assert(want(PTuckerVariant.Default).size == 2 + 3 * iters)
-      assert(want(PTuckerVariant.Approx).size == 2 + 4 * iters)
+      assert(want(PTuckerVariant.Approx).size == 2 + 3 * iters)
       intercept[IllegalStateException] {
         PTucker.fit(spark, overflowTensor(), PTuckerConfig(ranks = Array(2, 2), maxIters = 5, partitions = 2))
       }
@@ -362,33 +363,99 @@ class PTuckerSpec extends SparkSpec {
     }
   }
 
-  test("computeRBeta matches the literal Eq. (14) error difference") {
-    val t = plantedTensor(nnz = 120, seed = 11)
-    val entries = t.collectEntries()
-    val factors = Array.tabulate(3)(n => DenseMatrix.rand(t.dims(n), 2, 77 + n))
-    val core = repro.tensor.CoreTensor.rand(Array(2, 2, 2), 99)
-    val layout = new PTucker.BlockLayout(spark, t, 2, PTuckerConfig(ranks = Array(2, 2, 2)))
-    val got =
-      try {
-        layout.open(factors, core)
-        PTucker.computeRBeta(spark, layout.modeBlocks(0), factors, core, iter = 1)
-      } finally layout.close()
+  /** A tensor of the given dims with `nnz` distinct uniform cells. */
+  private def uniformTensor(dims: Array[Int], nnz: Int, seed: Int): SparseTensor = {
+    val rng = new scala.util.Random(seed)
+    val entries = Iterator.continually((dims.map(rng.nextInt), rng.nextDouble()))
+      .distinctBy(_._1.toSeq).take(nnz).toSeq
+    SparseTensor.fromEntries(spark, dims, entries)
+  }
 
-    def sse(cells: Array[repro.tensor.CoreEntry]): Double =
-      entries.map { case (idx, x) =>
-        val pred = cells.map { e =>
-          e.value * (0 until 3).map(k => factors(k)(idx(k), e.idx(k))).product
+  test("the last mode's R(beta) equals the literal Eq. (14)") {
+    val planted = plantedTensor(nnz = 120, seed = 11)
+    val full3 = repro.tensor.CoreTensor.rand(Array(2, 2, 2), 99)
+    val truncated = full3.truncate(Array.tabulate(8)(b => ((b * 5) % 8).toDouble), 3)
+    val cases = Seq(
+      // (name, tensor, core, T, whether the last mode has split rows)
+      ("no split rows", planted, full3, 2, false),
+      ("split rows", planted, full3, 16, true),
+      ("truncated core", planted, truncated, 16, true),
+      ("N = 2", uniformTensor(Array(9, 7), 40, 5), repro.tensor.CoreTensor.rand(Array(3, 2), 98), 2, false),
+      ("N = 4", uniformTensor(Array(5, 4, 6, 3), 90, 6), repro.tensor.CoreTensor.rand(Array(2, 2, 3, 2), 97)
+        .truncate(Array.tabulate(24)(b => ((b * 7) % 24).toDouble), 5), 4, true))
+    for ((name, t, core, p, splits) <- cases) {
+      val order = t.order
+      val ranks = core.dims
+      val entries = t.collectEntries()
+      val factors = Array.tabulate(order)(n => DenseMatrix.rand(t.dims(n), ranks(n), 77 + n))
+      val layout = new PTucker.BlockLayout(spark, t, p,
+        PTuckerConfig(ranks = ranks, variant = PTuckerVariant.Approx, partitions = p))
+      val got =
+        try {
+          layout.open(factors, core)
+          val lastParts = layout.blocks.map(_(order - 1).parts.length).collect().sum
+          assert((lastParts > 0) == splits, s"$name: $lastParts split-row parts in the last mode")
+          val stats = layout.updateMode(1, order - 1, factors, core, rBeta = true)
+          stats.rBeta.get
+        } finally layout.close()
+
+      // Eq. (6) with the updated factors, over a given set of cells.
+      def sse(cells: Array[repro.tensor.CoreEntry]): Double =
+        entries.map { case (idx, x) =>
+          val pred = cells.map { e =>
+            e.value * (0 until order).map(k => factors(k)(idx(k), e.idx(k))).product
+          }.sum
+          val d = x - pred
+          d * d
         }.sum
-        val d = x - pred
-        d * d
-      }.sum
 
-    val full = sse(core.entries)
-    core.entries.zipWithIndex.foreach { case (cell, b) =>
-      val without = sse(core.entries.filterNot(_ eq cell))
-      val want = full - without
-      assert(math.abs(got(b) - want) < 1e-8,
-        s"R(beta) mismatch at cell ${cell.idx.toSeq}: got ${got(b)} want $want")
+      val full = sse(core.entries)
+      assert(got.length == core.nnz, name)
+      core.entries.zipWithIndex.foreach { case (cell, b) =>
+        val want = full - sse(core.entries.filterNot(_ eq cell))
+        assert(math.abs(got(b) - want) < 1e-8,
+          s"$name: R(beta) mismatch at cell ${cell.idx.toSeq}: got ${got(b)} want $want")
+      }
+    }
+  }
+
+  /** The row placement as a priority queue of `(load, block)` over rows
+    * sorted by size, then index: what `Placement` computes on arrays.
+    */
+  private def referencePlacement(counts: Array[Array[Long]], nnz: Long, T: Int): Seq[(Seq[Int], Seq[Seq[Int]])] = {
+    val cap = math.max(1L, (nnz + 2L * T - 1) / (2L * T))
+    counts.toSeq.map { c =>
+      val home = new Array[Int](c.length)
+      val rows = c.indices.filter(c(_) > 0)
+      val parts = rows.map(i => math.min((c(i) + cap - 1) / cap, T.toLong).toInt)
+      val size = rows.indices.map(r => c(rows(r)) / parts(r))
+      val loads = mutable.PriorityQueue((0 until T).map(b => (0L, b)): _*)(Ordering[(Long, Int)].reverse)
+      val split = mutable.ArrayBuffer.empty[Seq[Int]]
+      rows.indices.sortBy(r => (-size(r), rows(r))).foreach { r =>
+        val blocks = Seq.fill(parts(r)) {
+          val (load, b) = loads.dequeue()
+          loads.enqueue((load + size(r), b))
+          b
+        }
+        home(rows(r)) = if (blocks.length == 1) blocks.head else { split += blocks; -split.length }
+      }
+      (home.toSeq, split.toSeq)
+    }
+  }
+
+  test("Placement equals a reference placement on hot rows") {
+    val t = hotRowTensor()
+    val entries = t.collectEntries()
+    val counts = t.dims.indices.map { n =>
+      val c = new Array[Long](t.dims(n))
+      entries.foreach { case (idx, _) => c(idx(n)) += 1 }
+      c
+    }.toArray
+    for (p <- Seq(2, 4, 16)) {
+      val got = PTucker.Placement(counts, entries.length.toLong, p)
+      val want = referencePlacement(counts, entries.length.toLong, p)
+      assert(got.home.indices.map(n => (got.home(n).toSeq, got.splits(n).toSeq.map(_.toSeq))) == want, s"T=$p")
+      assert(want.exists(_._2.nonEmpty), s"T=$p: the tensor splits no row")
     }
   }
 }
