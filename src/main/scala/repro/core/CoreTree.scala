@@ -15,41 +15,186 @@ import scala.collection.mutable
   * `vals`.
   *
   * Contracting the tree with one entry's factor rows costs one multiply per
-  * node: `J^N·(1 + 1/J + …)` at full |G|, less as Approx drops cells.
-  * Kernels take a per-task [[scratch]] of one double per node above the
-  * leaves, so the tree itself is immutable and shared by every task of an
-  * executor.
+  * node: `J^N·(1 + 1/J + …)` at full |G|, less as Approx drops cells. δ
+  * ([[deltas]]) is contracted for [[CoreTree.Lanes]] entries at a time.
+  * Kernels take a per-task working space ([[scratch]], [[laneScratch]]), so
+  * the tree itself is immutable and shared by every task of an executor.
+  * `dims` are the core's `J_k`.
   */
-final class CoreTree private (val order: Int, ids: Array[Array[Int]], ptr: Array[Array[Int]],
+final class CoreTree private (val order: Int, dims: Array[Int], ids: Array[Array[Int]], ptr: Array[Array[Int]],
                               vals: Array[Double]) extends Serializable {
+  import CoreTree.{LaneScratch, Lanes}
 
   /** The number of cells (leaves). */
   def nnz: Int = vals.length
 
-  /** A task's working space for [[delta]] and [[products]]: one double per
-    * node above the leaves, which the kernels read in place.
+  /** A task's working space for [[products]]: one double per node above the
+    * leaves, which the kernel reads in place.
     */
   def scratch(): Array[Array[Double]] =
     Array.tabulate(order)(k => new Array[Double](if (k == 0) 0 else ids(k).length))
 
-  /** Eq. (13): adds `δ^(n)_α(j) = Σ_{β: β_n = j} G_β ∏_{k≠n} a^(k)_{i_k β_k}`
-    * into `out` (length `J_n`). The levels below `n` are summed bottom-up,
-    * each node's children times its factor entry; the levels above are
-    * multiplied top-down into prefix products; level `n` joins the two.
+  /** A task's working space for [[deltas]]: per level above the leaves,
+    * one array of `Lanes` doubles per node; per mode, one per column of the
+    * chunk's factor rows. That is `Lanes` times [[scratch]] plus
+    * `Lanes·Σ J_k` doubles.
     */
-  def delta(idx: Array[Int], n: Int, f: FactorData, s: Array[Array[Double]], out: Array[Double]): Unit = {
-    val below = contractBelow(idx, n, f, s)
-    prefixesAbove(idx, n, f, s)
+  def laneScratch(): LaneScratch = new LaneScratch(
+    Array.tabulate(order)(k => Array.fill(if (k == 0) 0 else ids(k).length)(new Array[Double](Lanes))),
+    dims.map(j => Array.fill(j)(new Array[Double](Lanes))))
+
+  /** Eq. (13) for `count` (1 to [[Lanes]]) entries at once:
+    * `δ^(n)_α(j) = Σ_{β: β_n = j} G_β ∏_{k≠n} a^(k)_{i_k β_k}`, written to
+    * `out(j)(l)` (`out` holds `J_n` arrays of `Lanes` doubles) for the entry
+    * `α = from + l`, whose indices are `idx(α·N until (α+1)·N)`. The lanes
+    * from `count` on repeat entry `from + count − 1`.
+    *
+    * Each lane contracts the tree as one entry would: the levels below `n`
+    * are summed bottom-up, each node's children times its factor entry; the
+    * levels above are multiplied top-down into prefix products; level `n`
+    * joins the two. The lanes run side by side through each level, so a
+    * node's value and indices are loaded once per call, and the innermost
+    * loop runs over the lanes of one node, which do not depend on each other
+    * and sit in one array of their own, so the JIT compiles it to vector
+    * instructions. Lane `l`'s floating-point operations, and their order,
+    * depend neither on the other lanes nor on `count`, so its δ is the same,
+    * bit for bit, as a call that holds its entry alone.
+    */
+  def deltas(idx: Array[Int], from: Int, count: Int, n: Int, f: FactorData, s: LaneScratch,
+             out: Array[Array[Double]]): Unit = {
+    gatherRows(idx, from, count, n, f, s.rows)
+    val below = lanesBelow(n, s)
+    lanePrefixesAbove(n, s)
+    var j = 0
+    while (j < dims(n)) { java.util.Arrays.fill(out(j), 0.0); j += 1 }
     val p = ptr(n + 1)
-    val above = if (n + 1 == order) null else s(n + 1)
+    val above = if (n + 1 == order) null else s.nodes(n + 1)
     val idsN = ids(n)
     var q = 0
     while (q < p.length - 1) {
-      val pre = if (above == null) 1.0 else above(q)
+      val ab = if (above == null) null else above(q)
       var c = p(q)
       val end = p(q + 1)
-      while (c < end) { out(idsN(c)) += pre * below(c); c += 1 }
+      while (c < end) {
+        val o = out(idsN(c))
+        var l = 0
+        if (below == null) {
+          // n = 0: the leaves' values themselves, the same in every lane
+          val v = vals(c)
+          if (ab == null) while (l < Lanes) { o(l) += v; l += 1 }
+          else while (l < Lanes) { o(l) += ab(l) * v; l += 1 }
+        } else {
+          val bc = below(c)
+          if (ab == null) while (l < Lanes) { o(l) += bc(l); l += 1 }
+          else while (l < Lanes) { o(l) += ab(l) * bc(l); l += 1 }
+        }
+        c += 1
+      }
       q += 1
+    }
+  }
+
+  /** Copies, for every mode but `n`, the factor rows of the chunk's entries
+    * into `rows(k)`, lane-major: `rows(k)(j)(l) = a^(k)_{i_k j}` of lane
+    * `l`'s entry.
+    */
+  private def gatherRows(idx: Array[Int], from: Int, count: Int, n: Int, f: FactorData,
+                         rows: Array[Array[Array[Double]]]): Unit = {
+    var l = 0
+    while (l < Lanes) {
+      val e = (from + math.min(l, count - 1)) * order
+      var k = 0
+      while (k < order) {
+        if (k != n) {
+          val (ck, dk) = f(k)
+          val off = idx(e + k) * ck
+          val r = rows(k)
+          var j = 0
+          while (j < ck) { r(j)(l) = dk(off + j); j += 1 }
+        }
+        k += 1
+      }
+      l += 1
+    }
+  }
+
+  /** Level `n`'s subtree sums `Σ_{leaves β below} G_β ∏_{m<n} a^(m)_{i_m β_m}`
+    * in every lane, node `q`'s lane `l` at `s.nodes(n)(q)(l)`, with
+    * `s.nodes(k)` for `0 < k < n` holding the same sums times the node's
+    * own factor entry. Null for `n = 0`, whose sums are `vals` in every lane.
+    */
+  private def lanesBelow(n: Int, s: LaneScratch): Array[Array[Double]] = {
+    if (n == 0) return null
+    val g0 = s.rows(0)
+    val ids0 = ids(0)
+    var k = 1
+    while (k <= n) {
+      val p = ptr(k)
+      val cur = s.nodes(k)
+      val prev = s.nodes(k - 1)
+      val idsK = ids(k)
+      val gk = s.rows(k)
+      var q = 0
+      while (q < p.length - 1) {
+        val cq = cur(q)
+        java.util.Arrays.fill(cq, 0.0)
+        var c = p(q)
+        val end = p(q + 1)
+        if (k == 1) while (c < end) {
+          val v = vals(c)
+          val g = g0(ids0(c))
+          var l = 0
+          while (l < Lanes) { cq(l) += v * g(l); l += 1 }
+          c += 1
+        } else while (c < end) {
+          val pc = prev(c)
+          var l = 0
+          while (l < Lanes) { cq(l) += pc(l); l += 1 }
+          c += 1
+        }
+        if (k != n) {
+          val g = gk(idsK(q))
+          var l = 0
+          while (l < Lanes) { cq(l) *= g(l); l += 1 }
+        }
+        q += 1
+      }
+      k += 1
+    }
+    s.nodes(n)
+  }
+
+  /** Fills `s.nodes(k)` for `n < k < N` with each node's prefix product
+    * `∏_{k ≤ m < N} a^(m)_{i_m j_m}` in every lane, as [[prefixesAbove]] does
+    * for one entry. A root-level node's prefix is its factor entry itself,
+    * which `1.0 · a` equals exactly.
+    */
+  private def lanePrefixesAbove(n: Int, s: LaneScratch): Unit = {
+    var k = order - 1
+    while (k > n) {
+      val p = ptr(k + 1)
+      val parent = if (k + 1 == order) null else s.nodes(k + 1)
+      val cur = s.nodes(k)
+      val idsK = ids(k)
+      val gk = s.rows(k)
+      var q = 0
+      while (q < p.length - 1) {
+        var c = p(q)
+        val end = p(q + 1)
+        while (c < end) {
+          val g = gk(idsK(c))
+          val cc = cur(c)
+          if (parent == null) System.arraycopy(g, 0, cc, 0, Lanes)
+          else {
+            val pq = parent(q)
+            var l = 0
+            while (l < Lanes) { cc(l) = pq(l) * g(l); l += 1 }
+          }
+          c += 1
+        }
+        q += 1
+      }
+      k -= 1
     }
   }
 
@@ -104,41 +249,19 @@ final class CoreTree private (val order: Int, ids: Array[Array[Int]], ptr: Array
       k -= 1
     }
   }
-
-  /** Level `n`'s subtree sums `Σ_{leaves β below} G_β ∏_{m<n} a^(m)_{i_m β_m}`:
-    * `vals` itself for `n = 0`, else `s(n)`, with `s(k)` for `0 < k < n`
-    * holding the same sums times the node's own factor entry.
-    */
-  private def contractBelow(idx: Array[Int], n: Int, f: FactorData, s: Array[Array[Double]]): Array[Double] = {
-    if (n == 0) return vals
-    val (c0, d0) = f(0)
-    val off0 = idx(0) * c0
-    val ids0 = ids(0)
-    var k = 1
-    while (k <= n) {
-      val p = ptr(k)
-      val cur = s(k)
-      val prev = s(k - 1)
-      val idsK = ids(k)
-      val (ck, dk) = f(k)
-      val off = idx(k) * ck
-      var q = 0
-      while (q < cur.length) {
-        var sum = 0.0
-        var c = p(q)
-        val end = p(q + 1)
-        if (k == 1) while (c < end) { sum += vals(c) * d0(off0 + ids0(c)); c += 1 }
-        else while (c < end) { sum += prev(c); c += 1 }
-        cur(q) = if (k == n) sum else sum * dk(off + idsK(q))
-        q += 1
-      }
-      k += 1
-    }
-    s(n)
-  }
 }
 
 object CoreTree {
+
+  /** How many entries [[CoreTree.deltas]] contracts at once. */
+  final val Lanes = 32
+
+  /** [[CoreTree.laneScratch]]: `nodes(k)(q)` holds level `k`'s node `q`,
+    * `Lanes` doubles (no nodes for the leaves), `rows(k)(j)` column `j` of
+    * the chunk's mode-`k` factor rows.
+    */
+  final class LaneScratch private[CoreTree] (val nodes: Array[Array[Array[Double]]],
+                                             val rows: Array[Array[Array[Double]]])
 
   /** The cells seen from the top level, mode N−1: cell `b` is the pair of
     * its `j_{N-1}`, `topOf(b)`, and its rest tuple `(j_{N-2}, …, j_0)`, leaf
@@ -212,6 +335,6 @@ object CoreTree {
       else if (k == order) Array(0, counts(order - 1))
       else first(k).result() :+ counts(k - 1)
     }
-    new CoreTree(order, ids.map(_.result()), ptr, core.entries.map(_.value))
+    new CoreTree(order, core.dims, ids.map(_.result()), ptr, core.entries.map(_.value))
   }
 }

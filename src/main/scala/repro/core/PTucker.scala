@@ -3,7 +3,9 @@ package repro.core
 import org.apache.spark.{HashPartitioner, SparkException, TaskContext}
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{Row, SparkSession}
+import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.types.{DoubleType, IntegerType}
 import org.apache.spark.storage.StorageLevel
 import repro.linalg.DenseMatrix
 import repro.tensor.{CoreTensor, SparseTensor, TensorEntry}
@@ -87,6 +89,7 @@ object PTucker {
     require(config.truncationRate >= 0 && config.truncationRate < 1,
       s"truncationRate ${config.truncationRate} outside [0, 1)")
     require(config.variant != PTuckerVariant.Approx || order >= 2, "P-Tucker-Approx needs an order of at least 2")
+    checkSchema(tensor)
     val T = if (config.partitions > 0) config.partitions else spark.sparkContext.defaultParallelism
     // Default and Approx update over row blocks, Cache over its Pres table.
     val layout: Layout =
@@ -302,6 +305,49 @@ object PTucker {
         throw new IllegalStateException(s"P-Tucker $variant: row solve failed at iteration $iter, mode $n", e)
     }
 
+  /** Rejects a tensor whose columns are not, by position, N `IntegerType`
+    * indices and then one `DoubleType` value: the layouts read the columns
+    * by position, and an `InternalRow` does not check a column's type.
+    */
+  private def checkSchema(tensor: SparseTensor): Unit = {
+    val fields = tensor.df.schema.fields
+    val order = tensor.order
+    require(fields.length == order + 1,
+      s"an order-$order tensor has ${order + 1} columns, $order IntegerType indices and a DoubleType value, " +
+        s"not ${fields.length}: ${fields.map(c => s"${c.name} ${c.dataType}").mkString(", ")}")
+    fields.zipWithIndex.foreach { case (c, k) =>
+      val want = if (k < order) IntegerType else DoubleType
+      require(c.dataType == want, s"column $k (${c.name}) has type ${c.dataType}, not $want")
+    }
+  }
+
+  /** Reads input row `r` into `idx` and returns its value, after
+    * [[checkEntry]]. A null field is rejected, naming the entry.
+    */
+  private def decodeChecked(dims: Array[Int], r: InternalRow, idx: Array[Int]): Double = {
+    val order = dims.length
+    var k = 0
+    while (k <= order) {
+      if (r.isNullAt(k)) {
+        val fields = (0 to order).map(m => if (r.isNullAt(m)) "null" else if (m < order) r.getInt(m).toString
+          else r.getDouble(m).toString)
+        throw new IllegalArgumentException(
+          s"entry (${fields.init.mkString(", ")}): ${if (k < order) s"mode $k index" else "value"} is null")
+      }
+      k += 1
+    }
+    val value = decode(r, idx)
+    checkEntry(dims, idx, value)
+    value
+  }
+
+  /** Reads input row `r`, checked before, into `idx` and returns its value. */
+  private def decode(r: InternalRow, idx: Array[Int]): Double = {
+    var k = 0
+    while (k < idx.length) { idx(k) = r.getInt(k); k += 1 }
+    r.getDouble(idx.length)
+  }
+
   /** Rejects an entry with an index outside `[0, dims(k))` or a value that
     * is not finite.
     */
@@ -330,22 +376,21 @@ object PTucker {
     * number of entries in each row, and `Σ x²`, summed in partition order.
     */
   private def countRows(tensor: SparseTensor): (Array[Array[Long]], Double) =
-    Jobs.run(tensor.df.rdd, Jobs.tag(0, 0, "open"), new CountRows(tensor.dims))
+    Jobs.run(tensor.df.queryExecution.toRdd, Jobs.tag(0, 0, "open"), new CountRows(tensor.dims))
       .foldLeft((tensor.dims.map(d => new Array[Long](d)), 0.0)) { case ((c1, s1), (c2, s2)) =>
         c1.zip(c2).foreach { case (a, b) => var i = 0; while (i < a.length) { a(i) += b(i); i += 1 } }
         (c1, s1 + s2)
       }
 
   /** One input partition's share of [[countRows]]. */
-  private final class CountRows(dims: Array[Int]) extends PartitionTask[Row, (Array[Array[Long]], Double)] {
-    def apply(ctx: TaskContext, rs: Iterator[Row]): (Array[Array[Long]], Double) = {
+  private final class CountRows(dims: Array[Int]) extends PartitionTask[InternalRow, (Array[Array[Long]], Double)] {
+    def apply(ctx: TaskContext, rs: Iterator[InternalRow]): (Array[Array[Long]], Double) = {
       val order = dims.length
       val counts = dims.map(d => new Array[Long](d))
+      val e = new Array[Int](order)
       var sumSq = 0.0
-      rs.foreach { r =>
-        val e = Array.tabulate(order)(r.getInt)
-        val v = r.getDouble(order)
-        checkEntry(dims, e, v)
+      while (rs.hasNext) {
+        val v = decodeChecked(dims, rs.next(), e)
         var n = 0
         while (n < order) { counts(n)(e(n)) += 1; n += 1 }
         sumSq += v * v
@@ -462,41 +507,62 @@ object PTucker {
   /** The row-block layout, built with one shuffle: partition `b` of T holds
     * an array of N [[RowBlock]]s, the `n`-th with the entries that
     * `placement` sends to mode `n`'s block `b` (empty if there are none), so
-    * every entry is stored N times. Each map task sends one columnar chunk
-    * per mode and block. The result is persisted but not yet computed.
+    * every entry is stored N times. Each map task sends one [[Chunk]] per
+    * mode and block ([[BlockChunks]]), and each reduce task sorts its N
+    * blocks ([[JoinBlocks]]). The result is persisted but not yet computed.
     */
-  private def rowBlocks(tensor: SparseTensor, placement: Broadcast[Placement], T: Int): RDD[Array[RowBlock]] = {
-    val order = tensor.order
-    val dims = tensor.dims
-    tensor.df.rdd
-      .mapPartitionsWithIndex { (src, rs) =>
-        val place = placement.value
-        val idx = Array.fill(order * T)(new mutable.ArrayBuilder.ofInt)
-        val values = Array.fill(order * T)(new mutable.ArrayBuilder.ofDouble)
-        rs.foreach { r =>
-          val e = Array.tabulate(order)(r.getInt)
-          val v = r.getDouble(order)
-          var n = 0
-          while (n < order) {
-            val p = n * T + place.blockOf(n, e)
-            idx(p) ++= e
-            values(p) += v
-            n += 1
-          }
-        }
-        Iterator.range(0, order * T).collect {
-          case p if values(p).length > 0 => (p % T, (p / T, src, idx(p).result(), values(p).result()))
-        }
-      }
+  private def rowBlocks(tensor: SparseTensor, placement: Broadcast[Placement], T: Int): RDD[Array[RowBlock]] =
+    tensor.df.queryExecution.toRdd
+      .mapPartitionsWithIndex(new BlockChunks(tensor.order, T, placement))
       .partitionBy(new HashPartitioner(T))
-      .mapPartitions { chunks =>
-        val all = chunks.map(_._2).toArray
-        Iterator.single(Array.tabulate(order) { n =>
-          val mine = all.iterator.filter(_._1 == n).map { case (_, src, i, v) => (src, i, v) }
-          sortedBlock(n, dims(n), order, mine, placement.value.isSplit(n, _))
-        })
-      }
+      .mapPartitions(new JoinBlocks(tensor.dims, placement))
       .persist(StorageLevel.MEMORY_AND_DISK)
+
+  /** One input partition's entries for one mode's block: the mode, the
+    * input partition, and the entries' indices and values in columnar form.
+    */
+  private type Chunk = (Int, Int, Array[Int], Array[Double])
+
+  /** The block build's map side: input partition `src`'s entries, checked
+    * by [[countRows]] before, as one [[Chunk]] per mode and target block,
+    * keyed by the block. A named class, as [[Jobs.run]]'s tasks are, so
+    * that building the RDD skips the closure cleaner.
+    */
+  private final class BlockChunks(order: Int, T: Int, placement: Broadcast[Placement])
+      extends ((Int, Iterator[InternalRow]) => Iterator[(Int, Chunk)]) with Serializable {
+    def apply(src: Int, rs: Iterator[InternalRow]): Iterator[(Int, Chunk)] = {
+      val place = placement.value
+      val idx = Array.fill(order * T)(new mutable.ArrayBuilder.ofInt)
+      val values = Array.fill(order * T)(new mutable.ArrayBuilder.ofDouble)
+      val e = new Array[Int](order)
+      while (rs.hasNext) {
+        val v = decode(rs.next(), e)
+        var n = 0
+        while (n < order) {
+          val p = n * T + place.blockOf(n, e)
+          idx(p) ++= e
+          values(p) += v
+          n += 1
+        }
+      }
+      Iterator.range(0, order * T).collect {
+        case p if values(p).length > 0 => (p % T, (p / T, src, idx(p).result(), values(p).result()))
+      }
+    }
+  }
+
+  /** The block build's reduce side: one partition's chunks, as its N
+    * [[sortedBlock]]s. A named class, as [[BlockChunks]] is.
+    */
+  private final class JoinBlocks(dims: Array[Int], placement: Broadcast[Placement])
+      extends (Iterator[(Int, Chunk)] => Iterator[Array[RowBlock]]) with Serializable {
+    def apply(chunks: Iterator[(Int, Chunk)]): Iterator[Array[RowBlock]] = {
+      val all = chunks.map(_._2).toArray
+      Iterator.single(Array.tabulate(dims.length) { n =>
+        val mine = all.iterator.filter(_._1 == n).map { case (_, src, i, v) => (src, i, v) }
+        sortedBlock(n, dims(n), dims.length, mine, placement.value.isSplit(n, _))
+      })
+    }
   }
 
   /** Joins one partition's chunks into one block, sorted by the mode-`n`
@@ -660,10 +726,14 @@ object PTucker {
   }
 
   /** Mode `n`'s update of one row block. For each row's run, `acc = (B | c)`
-    * of Eq. (11)-(12) from each entry's δ (Eq. 13). A whole row is solved
+    * of Eq. (11)-(12) from each entry's δ (Eq. 13). δ is contracted for
+    * [[CoreTree.Lanes]] consecutive entries at a time ([[CoreTree.deltas]]);
+    * a chunk may cross runs. Each entry's δ is read out of its lane into one
+    * reused array, `J` doubles, for [[accumulate]]. A whole row is solved
     * here (Eq. 10), and with `withSse` its `Σ (x_α − a_{i_n}·δ_α)²` with the
     * new row goes into the block's SSE: in the last mode, the block's share
-    * of Eq. (6) with the final factors. A run that is one part of a split
+    * of Eq. (6) with the final factors. For it, the run's δ's go into one
+    * flat buffer, `J` doubles per entry. A run that is one part of a split
     * row returns `acc` instead, followed, with `withSse`, by `s = Σ r₀²` and
     * `g = Σ r₀·δ`, where `r₀ = x − a_old·δ` is the residual with the row's
     * old value (zeros without `withSse`). With the model's split (the last
@@ -673,12 +743,16 @@ object PTucker {
   private def solveBlock(b: RowBlock, n: Int, jn: Int, lambda: Double, withSse: Boolean,
                          model: ModelData): BlockSolve = {
     val ModelData(f, tree, split) = model
-    val s = tree.scratch()
+    val L = CoreTree.Lanes
+    val lanes = tree.laneScratch()
+    val deltas = Array.fill(jn)(new Array[Double](L))
+    val delta = new Array[Double](jn) // one entry's δ, read out of its lane
+    var chunk = -L // the first entry whose δ is in `deltas`
     val rb = split.map(new RBetaSums(_, jn)).orNull
     val order = b.order
     val idx = new Array[Int](order)
     val acc = new Array[Double](jn * jn + jn)
-    val runDeltas = mutable.ArrayBuffer.empty[Array[Double]]
+    var runDeltas = new Array[Double](if (withSse) jn * L else 0)
     val rows = new mutable.ArrayBuilder.ofInt
     val data = new mutable.ArrayBuilder.ofDouble
     val partRows = new mutable.ArrayBuilder.ofInt
@@ -689,27 +763,36 @@ object PTucker {
     while (start < b.nnz) {
       val i = b.idx(start * order + n)
       java.util.Arrays.fill(acc, 0.0)
-      runDeltas.clear()
       var e = start
       while (e < b.nnz && b.idx(e * order + n) == i) {
-        b.indexInto(e, idx)
-        val delta = computeDelta(idx, n, jn, f, tree, s)
+        if (e >= chunk + L) {
+          chunk = e
+          tree.deltas(b.idx, chunk, math.min(L, b.nnz - chunk), n, f, lanes, deltas)
+        }
+        val l = e - chunk
+        var j = 0
+        while (j < jn) { delta(j) = deltas(j)(l); j += 1 }
         accumulate(acc, delta, b.values(e))
-        if (withSse) runDeltas += delta
+        if (withSse) {
+          val off = (e - start) * jn
+          if (off + jn > runDeltas.length) runDeltas = java.util.Arrays.copyOf(runDeltas, 2 * runDeltas.length)
+          System.arraycopy(delta, 0, runDeltas, off, jn)
+        }
         e += 1
       }
+      val runLength = if (withSse) e - start else 0
       if (rb != null) rb.startRun()
       if (b.isPart(i)) {
         mirror(acc, jn)
         val g = new Array[Double](jn)
         var s = 0.0
         var k = 0
-        while (k < runDeltas.length) {
-          val r0 = residual(b.values(start + k), oldRows, i * jn, runDeltas(k))
+        while (k < runLength) {
+          val r0 = residual(b.values(start + k), oldRows, i * jn, runDeltas, k * jn, jn)
           s += r0 * r0
           var j = 0
-          while (j < jn) { g(j) += r0 * runDeltas(k)(j); j += 1 }
-          if (rb != null) { b.indexInto(start + k, idx); rb.add(idx, f, r0, runDeltas(k)) }
+          while (j < jn) { g(j) += r0 * runDeltas(k * jn + j); j += 1 }
+          if (rb != null) { b.indexInto(start + k, idx); rb.add(idx, f, r0, runDeltas, k * jn) }
           k += 1
         }
         partRows += i
@@ -720,10 +803,10 @@ object PTucker {
       } else {
         val row = solveRow(acc, jn, lambda)
         var k = 0
-        while (k < runDeltas.length) {
-          val r = residual(b.values(start + k), row, 0, runDeltas(k))
+        while (k < runLength) {
+          val r = residual(b.values(start + k), row, 0, runDeltas, k * jn, jn)
           sse += r * r
-          if (rb != null) { b.indexInto(start + k, idx); rb.add(idx, f, r, null) }
+          if (rb != null) { b.indexInto(start + k, idx); rb.add(idx, f, r, null, 0) }
           k += 1
         }
         if (rb != null) rb.addRow(row, 0)
@@ -736,11 +819,13 @@ object PTucker {
       if (rb == null) Array.emptyDoubleArray else rb.yz)
   }
 
-  /** `x − a·δ` for the row `a = rows(off until off + δ.length)`. */
-  private def residual(x: Double, rows: Array[Double], off: Int, delta: Array[Double]): Double = {
+  /** `x − a·δ` for the row `a = rows(off until off + J)` and
+    * `δ = deltas(dOff until dOff + J)`.
+    */
+  private def residual(x: Double, rows: Array[Double], off: Int, deltas: Array[Double], dOff: Int, jn: Int): Double = {
     var pred = 0.0
     var j = 0
-    while (j < delta.length) { pred += rows(off + j) * delta(j); j += 1 }
+    while (j < jn) { pred += rows(off + j) * deltas(dOff + j); j += 1 }
     x - pred
   }
 
@@ -795,17 +880,18 @@ object PTucker {
       java.util.Arrays.fill(m, 0.0)
     }
 
-    /** Adds an entry with indices `idx` and residual `r`; with its δ (a part
-      * of a split row, else null), also `δ⊗u` into `M`.
+    /** Adds an entry with indices `idx` and residual `r`; with its δ at
+      * `dOff` in `deltas` (a part of a split row, else null), also `δ⊗u`
+      * into `M`.
       */
-    def add(idx: Array[Int], f: FactorData, r: Double, delta: Array[Double]): Unit = {
+    def add(idx: Array[Int], f: FactorData, r: Double, deltas: Array[Double], dOff: Int): Unit = {
       rest.products(idx, f, s, u)
       var p = 0
       while (p < nRest) { w(p) += r * u(p); v(p) += u(p) * u(p); p += 1 }
-      if (delta != null) {
+      if (deltas != null) {
         var j = 0
         while (j < jn) {
-          val dj = delta(j)
+          val dj = deltas(dOff + j)
           val off = j * nRest
           p = 0
           while (p < nRest) { m(off + p) += dj * u(p); p += 1 }
@@ -900,18 +986,22 @@ object PTucker {
     * → `O(|Ω|·J^N)`. Approx: the R(β) vector → `O(J^N)` (+ the default's
     * per-task data). Default's δ costs `O(nodes(G))` per entry and mode
     * ([[CoreTree]]), the paper's Cache time without Cache's memory; for it
-    * a task holds the core's tree, a re-layout of G, and `O(nodes(G))`
-    * scratch doubles, no more than G itself, so neither is modelled. Not
-    * modelled either, because they depend on the data: Default and Approx
-    * store the entries N times, once per mode's row blocks, in columnar
-    * form (X itself, N copies), and a last-mode task also holds one run's
-    * δ's for the Eq.-6 sum: one row's, or one part's of a split row, so
-    * about `|Ω|/2T · J` at most. Approx's last-mode task also holds the
-    * run sums of R(β) ([[RBetaSums]]): `W` and `V`, one double each per
-    * distinct rest tuple of the cells (at most `min(|G|, J^{N-1})`), a
-    * split part's `M` (J times as many), and the block's `Y` and `Z` (2|G|,
-    * which the driver sums into its R(β) vector). The parts of split rows
-    * add `O(T·J²)` on the driver, and the row placement `Σ I_n` ints.
+    * a task holds the core's tree, a re-layout of G, and the δ kernel's
+    * scratch ([[CoreTree.laneScratch]]): `Lanes` (32) doubles per tree
+    * node above the leaves, plus `32·Σ J_k` for the gathered factor rows
+    * and `32·J_n` for a chunk's δ's. That is independent of |Ω| and I, but
+    * may exceed G itself (27 KB against 4 KB at N = 3, J = 8), and it is
+    * not modelled. Not modelled either, because they depend on the data:
+    * Default and Approx store the entries N times, once per mode's row
+    * blocks, in columnar form (X itself, N copies), and a last-mode task
+    * also holds one run's δ's for the Eq.-6 sum: one row's, or one part's
+    * of a split row, so about `|Ω|/2T · J` at most. Approx's last-mode
+    * task also holds the run sums of R(β) ([[RBetaSums]]): `W` and `V`, one
+    * double each per distinct rest tuple of the cells (at most
+    * `min(|G|, J^{N-1})`), a split part's `M` (J times as many), and the
+    * block's `Y` and `Z` (2|G|, which the driver sums into its R(β)
+    * vector). The parts of split rows add `O(T·J²)` on the driver, and the
+    * row placement `Σ I_n` ints.
     */
   def intermediateDoubles(config: PTuckerConfig, T: Int, nnz: Long): Long = {
     val j = config.ranks.max.toLong
@@ -927,17 +1017,6 @@ object PTucker {
   // -------------------------------------------------------------------
   // kernels (run inside tasks; everything reachable is plain arrays)
   // -------------------------------------------------------------------
-
-  /** Eq. (13): δ^{(n)}_α, a length-J_n vector, by contracting the core's
-    * tree ([[CoreTree.delta]]): one multiply per tree node. `s` is the
-    * task's [[CoreTree.scratch]].
-    */
-  private[core] def computeDelta(idx: Array[Int], n: Int, jn: Int, f: FactorData,
-                                 tree: CoreTree, s: Array[Array[Double]]): Array[Double] = {
-    val out = new Array[Double](jn)
-    tree.delta(idx, n, f, s, out)
-    out
-  }
 
   /** Algorithm 3 line 4: `Pres[α][β] = G_β ∏_k a^{(k)}_{i_k j_k}`, aligned
     * with the core-cell enumeration order ([[CoreTree.products]]).

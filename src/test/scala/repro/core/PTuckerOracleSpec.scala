@@ -72,12 +72,11 @@ class PTuckerOracleSpec extends SparkSpec {
     val core = repro.tensor.CoreTensor.rand(Array(2, 2, 2), 60)
     val fd = TuckerKernels.factorData(factors)
     val tree = CoreTree(core)
-    val scratch = tree.scratch()
 
     // Spark/kernel side: c per (i0, j)
     val cRows = t.collectEntries()
       .flatMap { case (idx, x) =>
-        val d = PTucker.computeDelta(idx, 0, 2, fd, tree, scratch)
+        val d = TreeDelta.of(tree, idx, 0, fd)
         d.indices.map(j => ((idx(0), j), x * d(j)))
       }
       .groupBy(_._1).map { case ((i0, j), vs) => Row(i0, j, vs.map(_._2).sum) }.toSeq

@@ -44,9 +44,9 @@ class PTuckerRuleSpec extends AnyFunSuite {
       e.value * (0 until 3).map(k => factors(k)(idx(k), e.idx(k))).product
     }.sum
 
-  test("computeDelta matches the Eq. (13) reference for every entry and mode") {
+  test("the δ kernel matches the Eq. (13) reference for every entry and mode") {
     for ((idx, _) <- entries; n <- 0 until 3) {
-      val got = PTucker.computeDelta(idx, n, ranks(n), fd, tree, tree.scratch())
+      val got = TreeDelta.of(tree, idx, n, fd)
       val want = refDelta(idx, n)
       assert(got.zip(want).forall { case (a, b) => math.abs(a - b) < 1e-12 },
         s"delta mismatch at ${idx.toSeq} mode $n")
@@ -70,11 +70,11 @@ class PTuckerRuleSpec extends AnyFunSuite {
     }
   }
 
-  test("deltaFromPres reproduces computeDelta when no factor entry is zero") {
+  test("deltaFromPres reproduces the δ kernel when no factor entry is zero") {
     for ((idx, _) <- entries.take(10); n <- 0 until 3) {
       val pres = PTucker.computePres(idx, fd, tree, tree.scratch())
       val viaCache = PTucker.deltaFromPres(idx, pres, n, ranks(n), fd, cc)
-      val direct = PTucker.computeDelta(idx, n, ranks(n), fd, tree, tree.scratch())
+      val direct = TreeDelta.of(tree, idx, n, fd)
       assert(viaCache.zip(direct).forall { case (a, b) => math.abs(a - b) < 1e-9 })
     }
   }
@@ -86,7 +86,7 @@ class PTuckerRuleSpec extends AnyFunSuite {
     val idx = Array(2, 1, 0)
     val pres = PTucker.computePres(idx, fdz, tree, tree.scratch()) // some cells are exactly 0
     val viaCache = PTucker.deltaFromPres(idx, pres, 0, ranks(0), fdz, cc)
-    val direct = PTucker.computeDelta(idx, 0, ranks(0), fdz, tree, tree.scratch())
+    val direct = TreeDelta.of(tree, idx, 0, fdz)
     assert(viaCache.zip(direct).forall { case (a, b) => math.abs(a - b) < 1e-9 })
   }
 
@@ -107,7 +107,7 @@ class PTuckerRuleSpec extends AnyFunSuite {
     val acc = new Array[Double](jn * jn + jn)
     val mine = entries.filter(_._1(0) == 1)
     mine.foreach { case (idx, x) =>
-      PTucker.accumulate(acc, PTucker.computeDelta(idx, 0, jn, fd, tree, tree.scratch()), x)
+      PTucker.accumulate(acc, TreeDelta.of(tree, idx, 0, fd), x)
     }
     PTucker.mirror(acc, jn) // accumulate fills B's upper triangle
     val bWant = Array.ofDim[Double](jn, jn)
@@ -153,7 +153,7 @@ class PTuckerRuleSpec extends AnyFunSuite {
     assert(mine.nonEmpty)
     val acc = new Array[Double](jn * jn + jn)
     mine.foreach { case (idx, x) =>
-      PTucker.accumulate(acc, PTucker.computeDelta(idx, n, jn, fd, tree, tree.scratch()), x)
+      PTucker.accumulate(acc, TreeDelta.of(tree, idx, n, fd), x)
     }
     val row = PTucker.solveRow(acc, jn, lambda)
 

@@ -2,6 +2,8 @@ package repro.core
 
 import org.apache.spark.{BroadcastProbe, ListenerProbe}
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.Row
+import org.apache.spark.sql.types.{FloatType, LongType, StructField, StructType}
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.SpanSugar._
 import repro.{SparkSpec, TensorGen}
@@ -286,6 +288,49 @@ class PTuckerSpec extends SparkSpec {
     assertRejected((Array(3, 8, 2), Double.NegativeInfinity), "entry (3, 8, 2): value -Infinity is not finite")
   }
 
+  /** Fits `t` with each of `vs`; each fit must throw an
+    * IllegalArgumentException whose message contains `want`, and leave no RDD
+    * persisted and no broadcast alive.
+    */
+  private def assertRejectedInput(t: SparseTensor, want: String, vs: Seq[PTuckerVariant] = variants): Unit = {
+    val sc = spark.sparkContext
+    for (v <- vs) {
+      val before = sc.getPersistentRDDs.keySet
+      val broadcasts = BroadcastProbe.liveIds(sc)
+      val e = intercept[IllegalArgumentException] {
+        PTucker.fit(spark, t, PTuckerConfig(ranks = Array(1, 1, 1), partitions = 2, variant = v))
+      }
+      assert(e.getMessage.contains(want), s"$v: ${e.getMessage}")
+      assert((sc.getPersistentRDDs.keySet -- before).isEmpty, s"$v left RDDs persisted")
+      assertNoNewBroadcast(broadcasts, v.toString)
+    }
+  }
+
+  /** A 4×9×3 tensor of two entries, in a DataFrame of the given schema. */
+  private def tensorOf(schema: StructType, rows: Row*): SparseTensor =
+    SparseTensor(Array(4, 9, 3), spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema))
+
+  test("input validation: a column of another type is rejected by position, naming the column and its type") {
+    val long = StructType(SparseTensor.schema(3).fields.updated(1, StructField("i1", LongType, nullable = false)))
+    assertRejectedInput(tensorOf(long, Row(0, 0L, 0, 1.0), Row(1, 2L, 0, 2.0)),
+      "column 1 (i1) has type LongType, not IntegerType")
+    val floatValue = StructType(SparseTensor.schema(3).fields.updated(3, StructField("value", FloatType)))
+    assertRejectedInput(tensorOf(floatValue, Row(0, 0, 0, 1.0f)), "column 3 (value) has type FloatType, not DoubleType")
+    val short = StructType(SparseTensor.schema(3).fields.take(3))
+    assertRejectedInput(tensorOf(short, Row(0, 0, 0)), "an order-3 tensor has 4 columns")
+  }
+
+  test("input validation: a null field is rejected, naming the entry") {
+    // Default and Approx read the input as InternalRows, which read a null
+    // int as 0. Cache reads Rows (SparseTensor.entriesRdd), which throw.
+    val rowBlocks = Seq(PTuckerVariant.Default, PTuckerVariant.Approx)
+    val nullable = StructType(SparseTensor.schema(3).fields.map(_.copy(nullable = true)))
+    assertRejectedInput(tensorOf(nullable, Row(0, 0, 0, 1.0), Row(1, 2, 0, null)), "entry (1, 2, 0): value is null",
+      rowBlocks)
+    assertRejectedInput(tensorOf(nullable, Row(0, 0, 0, 1.0), Row(1, null, 0, 2.0)),
+      "entry (1, null, 0): mode 1 index is null", rowBlocks)
+  }
+
   test("fit leaves no RDD persisted, for every variant") {
     planted.nnz // the input's own cache is built before the snapshot
     val sc = spark.sparkContext
@@ -371,6 +416,65 @@ class PTuckerSpec extends SparkSpec {
     SparseTensor.fromEntries(spark, dims, entries)
   }
 
+  /** 205 entries whose mode-2 rows hold 20, 45 and 140 of them. At T = 2
+    * row 2 is split into two parts of about 70, which share the blocks with
+    * rows 1 and 0, so in the last mode a whole run and a part each cross a
+    * multiple of [[CoreTree.Lanes]] entries.
+    */
+  private def straddleTensor(): SparseTensor = {
+    val rng = new scala.util.Random(33)
+    val entries = Seq(0 -> 20, 1 -> 45, 2 -> 140).flatMap { case (i2, count) =>
+      rng.shuffle((0 until 15 * 12).toList).take(count).map(p => (Array(p / 12, p % 12, i2), rng.nextDouble()))
+    }
+    SparseTensor.fromEntries(spark, Array(15, 12, 3), entries)
+  }
+
+  test("a run and a split row's part that straddle δ chunks give the literal row solve and Eq. (6)") {
+    val t = straddleTensor()
+    val L = CoreTree.Lanes
+    val ranks = Array(2, 3, 2)
+    val lambda = 0.01
+    val factors = Array.tabulate(3)(n => DenseMatrix.rand(t.dims(n), ranks(n), 31 + n))
+    val core = repro.tensor.CoreTensor.rand(ranks, 32)
+    val layout = new PTucker.BlockLayout(spark, t, 2, PTuckerConfig(ranks = ranks, lambda = lambda, partitions = 2))
+    val sse =
+      try {
+        layout.open(factors, core)
+        // (first entry, end, whether a part) of every run in the last mode
+        val runs = layout.blocks.map { bs =>
+          val b = bs(2)
+          val starts = (0 until b.nnz).filter(e => e == 0 || b.idx(e * 3 + 2) != b.idx((e - 1) * 3 + 2))
+          starts.zip(starts.tail :+ b.nnz).map { case (a, z) => (a, z, b.isPart(b.idx(a * 3 + 2))) }
+        }.collect().flatten
+        for (part <- Seq(false, true))
+          assert(runs.exists { case (a, z, p) => p == part && a / L != (z - 1) / L },
+            s"no ${if (part) "part" else "whole run"} crosses a chunk: ${runs.mkString(", ")}")
+        layout.updateMode(1, 2, factors, core, rBeta = false).sse
+      } finally layout.close()
+
+    // The literal normal equations (Eq. 10-13) of each mode-2 row, from the
+    // cell list; mode 2's δ does not read A^(2), which the update replaced.
+    val fd = TuckerKernels.factorData(factors)
+    val cells = TuckerKernels.coreCells(core)
+    val entries = t.collectEntries()
+    for (i <- 0 until 3) {
+      val b = DenseMatrix.zeros(2, 2)
+      val c = new Array[Double](2)
+      entries.filter(_._1(2) == i).foreach { case (idx, x) =>
+        val d = new Array[Double](2)
+        cells.foreach { case (cell, g) => d(cell(2)) += TuckerKernels.cellProduct(idx, cell, g, 2, fd) }
+        for (p <- 0 until 2; q <- 0 until 2) b(p, q) += d(p) * d(q)
+        for (p <- 0 until 2) c(p) += x * d(p)
+      }
+      for (p <- 0 until 2) b(p, p) += lambda
+      val want = DenseMatrix.solve(b, c)
+      for (j <- 0 until 2)
+        assert(relDiff(want(j), factors(2)(i, j)) <= 1e-9, s"row $i: ${factors(2)(i, j)} vs ${want(j)}")
+    }
+    val exact = entries.map { case (idx, x) => val r = x - TuckerKernels.predict(idx, fd, cells); r * r }.sum
+    assert(relDiff(exact, sse) <= 1e-9, s"SSE $sse vs exact $exact")
+  }
+
   test("the last mode's R(beta) equals the literal Eq. (14)") {
     val planted = plantedTensor(nnz = 120, seed = 11)
     val full3 = repro.tensor.CoreTensor.rand(Array(2, 2, 2), 99)
@@ -380,6 +484,7 @@ class PTuckerSpec extends SparkSpec {
       ("no split rows", planted, full3, 2, false),
       ("split rows", planted, full3, 16, true),
       ("truncated core", planted, truncated, 16, true),
+      ("runs straddle δ chunks", straddleTensor(), repro.tensor.CoreTensor.rand(Array(2, 3, 2), 96), 2, true),
       ("N = 2", uniformTensor(Array(9, 7), 40, 5), repro.tensor.CoreTensor.rand(Array(3, 2), 98), 2, false),
       ("N = 4", uniformTensor(Array(5, 4, 6, 3), 90, 6), repro.tensor.CoreTensor.rand(Array(2, 2, 3, 2), 97)
         .truncate(Array.tabulate(24)(b => ((b * 7) % 24).toDouble), 5), 4, true))

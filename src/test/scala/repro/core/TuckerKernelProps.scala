@@ -6,8 +6,9 @@ import repro.tensor.{CoreEntry, CoreTensor}
 
 /** ScalaCheck properties of the kernels: for random orders, ranks and
   * truncated cores (the surviving-cell subsets Approx produces), the core
-  * tree's δ and per-cell products, the cell-list prediction and both Cache
-  * fallbacks equal the literal Eq. (5)/(13) definitions.
+  * tree's δ (every lane of a batched call) and per-cell products, the
+  * cell-list prediction and both Cache fallbacks equal the literal
+  * Eq. (5)/(13) definitions.
   */
 object TuckerKernelProps extends Properties("TuckerKernels") {
 
@@ -73,12 +74,30 @@ object TuckerKernelProps extends Properties("TuckerKernels") {
     f
   }
 
-  property("computeDelta equals Eq. (13) in every mode") =
-    Prop.forAll(caseGen) { c =>
+  property("every lane of a batched δ call equals Eq. (13) and a one-entry call, in every mode") =
+    Prop.forAll(treeCaseGen, Gen.choose(1, CoreTree.Lanes), Gen.choose(0, 3)) { (c, count, from) =>
+      val L = CoreTree.Lanes
+      val rng = new scala.util.Random(c.seed + count)
+      val dims = c.factors.map(_.rows)
+      // `from` entries before the chunk, then the chunk: the case's entry first
+      val entries = Array.fill(from)(dims.map(rng.nextInt)) ++
+        (c.idx +: Array.fill(count - 1)(dims.map(rng.nextInt)))
+      val flat = entries.flatten
       val fd = TuckerKernels.factorData(c.factors)
       val tree = CoreTree(c.core)
+      val s = tree.laneScratch() // one scratch for every call, as in a task
       (0 until c.order).forall { n =>
-        close(PTucker.computeDelta(c.idx, n, c.ranks(n), fd, tree, tree.scratch()), refDelta(c, c.factors, n))
+        val jn = c.ranks(n)
+        val out = Array.fill(jn)(new Array[Double](L))
+        tree.deltas(flat, from, count, n, fd, s, out)
+        (0 until L).forall { l =>
+          // lanes from `count` on repeat the chunk's last entry
+          val idx = entries(from + math.min(l, count - 1))
+          val lane = out.map(_(l))
+          close(lane, refDelta(c.copy(idx = idx), c.factors, n)) &&
+            lane.map(java.lang.Double.doubleToLongBits).sameElements(
+              TreeDelta.of(tree, idx, n, fd).map(java.lang.Double.doubleToLongBits))
+        }
       }
     }
 
@@ -97,11 +116,7 @@ object TuckerKernelProps extends Properties("TuckerKernels") {
       val fd = TuckerKernels.factorData(c.factors)
       val tree = CoreTree(c.core)
       val s = tree.scratch() // one scratch for every call, as in a task
-      val deltas = (0 until c.order).forall { n =>
-        val out = new Array[Double](c.ranks(n))
-        tree.delta(c.idx, n, fd, s, out)
-        close(out, refDelta(c, c.factors, n))
-      }
+      val deltas = (0 until c.order).forall(n => close(TreeDelta.of(tree, c.idx, n, fd), refDelta(c, c.factors, n)))
       val ps = new Array[Double](c.core.nnz)
       val pred = tree.products(c.idx, fd, s, ps)
       val want = refPres(c, c.factors)
