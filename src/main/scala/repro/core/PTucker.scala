@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.{HashPartitioner, SparkException, TaskContext}
+import org.apache.spark.{NarrowDependency, Partition, SparkException, TaskContext}
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
@@ -51,8 +51,8 @@ final case class PTuckerConfig(ranks: Array[Int],
   *
   * Parallelization mapping (DESIGN.md §2): the paper updates the rows of
   * `A^(n)` across OpenMP threads. Default and Approx lay the entries out once
-  * per fit in row blocks, one group of T partitions per mode, hashed on the
-  * mode's index (MLlib ALS's in-block layout). A mode update is then one
+  * per fit in row blocks, T partitions each holding one block per mode,
+  * placed by the rows' entry counts (MLlib ALS's in-block layout). A mode update is then one
   * stage of T tasks: each assembles its rows' normal equations
   * `(B_{i_n}, c_{i_n})` of Eq. (11)-(12), solves them (Eq. 10) and returns
   * the rows, with no shuffle. Cache's Pres table is aligned with the entries
@@ -176,7 +176,7 @@ object PTucker {
     def close(): Unit
   }
 
-  /** Default and Approx: the entries in row blocks ([[rowBlocks]]), placed
+  /** Default and Approx: the entries in row blocks ([[BlockScan]]), placed
     * by [[Placement]]. A mode update is one stage of T tasks, each over its
     * partition's block of the mode, with no shuffle ([[solveBlocks]]).
     */
@@ -196,8 +196,8 @@ object PTucker {
       val nnz = counts(0).sum
       require(nnz > 0, "empty tensor")
       placement = sc.broadcast(Placement(counts, nnz, T))
-      rdd = rowBlocks(tensor, placement, T)
-      Jobs.run(rdd, Jobs.tag(0, 0, "materialize"), new Jobs.Count[Array[RowBlock]])
+      rdd = materialize(new BlockScan(tensor.df.queryExecution.toRdd, tensor.dims, placement, T),
+        Jobs.tag(0, 0, "materialize"))
       math.sqrt(sumSq)
     }
 
@@ -245,8 +245,7 @@ object PTucker {
     }
 
     def open(factors: Array[DenseMatrix], core: CoreTensor): Double = {
-      val dims = tensor.dims
-      entries = tensor.entriesRdd(T).map { e => checkEntry(dims, e.idx, e.value); e }
+      entries = tensor.df.queryExecution.toRdd.mapPartitions(new CheckedEntries(tensor.dims)).repartition(T)
         .persist(StorageLevel.MEMORY_AND_DISK)
       val (nnz, sumSq) = inputChecked(Jobs.run(entries, Jobs.tag(0, 0, "open"), new CountSquares))
         .foldLeft((0L, 0.0)) { case ((n1, s1), (n2, s2)) => (n1 + n2, s1 + s2) }
@@ -399,6 +398,18 @@ object PTucker {
     }
   }
 
+  /** Cache's read of the input: each row as a [[TensorEntry]], after
+    * [[decodeChecked]]. A named class, so that building the RDD skips the
+    * closure cleaner.
+    */
+  private final class CheckedEntries(dims: Array[Int])
+      extends (Iterator[InternalRow] => Iterator[TensorEntry]) with Serializable {
+    def apply(rs: Iterator[InternalRow]): Iterator[TensorEntry] = rs.map { r =>
+      val idx = new Array[Int](dims.length)
+      TensorEntry(idx, decodeChecked(dims, r, idx))
+    }
+  }
+
   /** One partition's entry count and `Σ x²` (Cache's first pass). */
   private final class CountSquares extends PartitionTask[TensorEntry, (Long, Double)] {
     def apply(ctx: TaskContext, es: Iterator[TensorEntry]): (Long, Double) = {
@@ -504,85 +515,64 @@ object PTucker {
     val Empty: RowBlock = RowBlock(Array.emptyIntArray, Array.emptyDoubleArray, Array.emptyIntArray)
   }
 
-  /** The row-block layout, built with one shuffle: partition `b` of T holds
-    * an array of N [[RowBlock]]s, the `n`-th with the entries that
-    * `placement` sends to mode `n`'s block `b` (empty if there are none), so
-    * every entry is stored N times. Each map task sends one [[Chunk]] per
-    * mode and block ([[BlockChunks]]), and each reduce task sorts its N
-    * blocks ([[JoinBlocks]]). The result is persisted but not yet computed.
+  /** The row-block layout, built without a shuffle: T partitions over all
+    * of `input`'s. Partition `b` holds an array of N [[RowBlock]]s, the
+    * `n`-th with the entries that `placement` sends to mode `n`'s block `b`
+    * (empty if there are none), so every entry is stored N times. Its task
+    * reads every input partition, in order, and keeps its own entries
+    * (checked by [[countRows]] before), then sorts each block
+    * ([[sortedBlock]]). A partition carries the input's partitions (as
+    * Spark's `CoalescedRDD` does), because an executor cannot compute
+    * `input.partitions` itself.
     */
-  private def rowBlocks(tensor: SparseTensor, placement: Broadcast[Placement], T: Int): RDD[Array[RowBlock]] =
-    tensor.df.queryExecution.toRdd
-      .mapPartitionsWithIndex(new BlockChunks(tensor.order, T, placement))
-      .partitionBy(new HashPartitioner(T))
-      .mapPartitions(new JoinBlocks(tensor.dims, placement))
-      .persist(StorageLevel.MEMORY_AND_DISK)
+  private final class BlockScan(input: RDD[InternalRow], dims: Array[Int], placement: Broadcast[Placement], T: Int)
+      extends RDD[Array[RowBlock]](input.sparkContext, Seq(new AllPartitions(input))) {
+    protected def getPartitions: Array[Partition] = {
+      val inputs = firstParent[InternalRow].partitions
+      Array.tabulate[Partition](T)(new ScanPartition(_, inputs))
+    }
 
-  /** One input partition's entries for one mode's block: the mode, the
-    * input partition, and the entries' indices and values in columnar form.
-    */
-  private type Chunk = (Int, Int, Array[Int], Array[Double])
-
-  /** The block build's map side: input partition `src`'s entries, checked
-    * by [[countRows]] before, as one [[Chunk]] per mode and target block,
-    * keyed by the block. A named class, as [[Jobs.run]]'s tasks are, so
-    * that building the RDD skips the closure cleaner.
-    */
-  private final class BlockChunks(order: Int, T: Int, placement: Broadcast[Placement])
-      extends ((Int, Iterator[InternalRow]) => Iterator[(Int, Chunk)]) with Serializable {
-    def apply(src: Int, rs: Iterator[InternalRow]): Iterator[(Int, Chunk)] = {
+    def compute(split: Partition, ctx: TaskContext): Iterator[Array[RowBlock]] = {
+      val b = split.index
       val place = placement.value
-      val idx = Array.fill(order * T)(new mutable.ArrayBuilder.ofInt)
-      val values = Array.fill(order * T)(new mutable.ArrayBuilder.ofDouble)
+      val order = dims.length
+      val idx = Array.fill(order)(new mutable.ArrayBuilder.ofInt)
+      val values = Array.fill(order)(new mutable.ArrayBuilder.ofDouble)
       val e = new Array[Int](order)
-      while (rs.hasNext) {
-        val v = decode(rs.next(), e)
-        var n = 0
-        while (n < order) {
-          val p = n * T + place.blockOf(n, e)
-          idx(p) ++= e
-          values(p) += v
-          n += 1
+      split.asInstanceOf[ScanPartition].inputs.foreach { p =>
+        val rs = firstParent[InternalRow].iterator(p, ctx)
+        while (rs.hasNext) {
+          val v = decode(rs.next(), e)
+          var n = 0
+          while (n < order) {
+            if (place.blockOf(n, e) == b) { idx(n) ++= e; values(n) += v }
+            n += 1
+          }
         }
       }
-      Iterator.range(0, order * T).collect {
-        case p if values(p).length > 0 => (p % T, (p / T, src, idx(p).result(), values(p).result()))
-      }
+      Iterator.single(Array.tabulate(order)(n =>
+        sortedBlock(n, dims(n), order, idx(n).result(), values(n).result(), place.isSplit(n, _))))
     }
   }
 
-  /** The block build's reduce side: one partition's chunks, as its N
-    * [[sortedBlock]]s. A named class, as [[BlockChunks]] is.
-    */
-  private final class JoinBlocks(dims: Array[Int], placement: Broadcast[Placement])
-      extends (Iterator[(Int, Chunk)] => Iterator[Array[RowBlock]]) with Serializable {
-    def apply(chunks: Iterator[(Int, Chunk)]): Iterator[Array[RowBlock]] = {
-      val all = chunks.map(_._2).toArray
-      Iterator.single(Array.tabulate(dims.length) { n =>
-        val mine = all.iterator.filter(_._1 == n).map { case (_, src, i, v) => (src, i, v) }
-        sortedBlock(n, dims(n), dims.length, mine, placement.value.isSplit(n, _))
-      })
-    }
+  private final class ScanPartition(val index: Int, val inputs: Array[Partition]) extends Partition
+
+  /** Each partition of a [[BlockScan]] depends on every partition of `rdd`. */
+  private final class AllPartitions(rdd: RDD[InternalRow]) extends NarrowDependency[InternalRow](rdd) {
+    def getParents(partitionId: Int): Seq[Int] = rdd.partitions.indices
   }
 
-  /** Joins one partition's chunks into one block, sorted by the mode-`n`
-    * index (in `[0, dim)`), then the other indices. The chunks are joined in
-    * the order of the input partitions they came from, and the sort is
-    * stable, so entries with the same index keep their input order. The
-    * order of the entries, and with it every row's summation order, then
-    * depends neither on the order in which the shuffle delivered the chunks
-    * nor, for a row that is not split, on T. The sort is a counting sort on
-    * the mode-`n` index, then a merge sort of each row's run. No chunks give
-    * the empty block.
+  /** Sorts one block's entries, given in input order (entry `e` has indices
+    * `idx(e·N until (e+1)·N)` and value `values(e)`), by the mode-`n` index
+    * (in `[0, dim)`), then the other indices. The sort is stable, so entries
+    * with the same indices keep their input order. The order of the
+    * entries, and with it every row's summation order, then does not
+    * depend, for a row that is not split, on T. The sort is a counting sort
+    * on the mode-`n` index, then a merge sort of each row's run. No entries
+    * give the empty block.
     */
-  private[core] def sortedBlock(n: Int, dim: Int, order: Int,
-                                chunks: Iterator[(Int, Array[Int], Array[Double])],
+  private[core] def sortedBlock(n: Int, dim: Int, order: Int, idx: Array[Int], values: Array[Double],
                                 isSplit: Int => Boolean): RowBlock = {
-    val idxB = new mutable.ArrayBuilder.ofInt
-    val valuesB = new mutable.ArrayBuilder.ofDouble
-    chunks.toArray.sortBy(_._1).foreach { case (_, i, v) => idxB ++= i; valuesB ++= v }
-    val idx = idxB.result()
-    val values = valuesB.result()
     val m = values.length
     if (m == 0) return RowBlock.Empty
     val start = new Array[Int](dim + 1)
@@ -663,8 +653,8 @@ object PTucker {
     * row, `partStride` doubles apiece, and, for R(β), the block's `Y` then
     * `Z` per cell ([[RBetaSums]]; empty without R(β)).
     */
-  private final case class BlockSolve(rows: Array[Int], data: Array[Double], sse: Double,
-                                      partRows: Array[Int], parts: Array[Double], yz: Array[Double])
+  private[core] final case class BlockSolve(rows: Array[Int], data: Array[Double], sse: Double,
+                                            partRows: Array[Int], parts: Array[Double], yz: Array[Double])
 
   /** A part's `(B | c)`, `s` and `g`, then with R(β) its `W₀`, `M` and `V`
     * (see [[solveBlock]]).
@@ -717,7 +707,8 @@ object PTucker {
   }
 
   /** [[solveBlock]] of a partition's mode-`n` block; `None` for an empty one. */
-  private final class SolveBlocks(n: Int, jn: Int, lambda: Double, withSse: Boolean, bM: Broadcast[ModelData])
+  private[core] final class SolveBlocks(n: Int, jn: Int, lambda: Double, withSse: Boolean,
+                                        bM: Broadcast[ModelData])
       extends PartitionTask[Array[RowBlock], Option[BlockSolve]] {
     def apply(ctx: TaskContext, it: Iterator[Array[RowBlock]]): Option[BlockSolve] = {
       val b = it.next()(n)
@@ -965,17 +956,17 @@ object PTucker {
       .foreach(_.foreach { case (i, row) => updated.setRow(i, row) })
   }
 
-  /** Persists and counts one Pres table in a job described by
-    * `description` (unpersisting it again if the count fails). The local
-    * checkpoint truncates its lineage, so the table neither keeps the
-    * broadcasts of earlier tables alive nor grows an unbounded chain of
-    * patch closures across iterations.
+  /** Persists and counts an RDD in a job described by `description`
+    * (unpersisting it again if the count fails). The local checkpoint
+    * truncates its lineage: a Pres table neither keeps the broadcasts of
+    * earlier tables alive nor grows an unbounded chain of patch closures
+    * across iterations, and a mode-update task over the row blocks does not
+    * deserialize the input's plan.
     */
-  private def materialize(p: RDD[(TensorEntry, Array[Double])],
-                          description: String): RDD[(TensorEntry, Array[Double])] = {
+  private def materialize[A](p: RDD[A], description: String): RDD[A] = {
     p.persist(StorageLevel.MEMORY_AND_DISK)
     p.localCheckpoint()
-    try Jobs.run(p, description, new Jobs.Count[(TensorEntry, Array[Double])])
+    try Jobs.run(p, description, new Jobs.Count[A])
     catch { case e: Throwable => p.unpersist(blocking = false); throw e }
     p
   }

@@ -209,11 +209,8 @@ class PTuckerRuleSpec extends AnyFunSuite {
     val dim = 6
     // few distinct other indices, so runs are long (merge path) and hold duplicates
     val es = Array.fill(300)((Array(rnd.nextInt(dim), rnd.nextInt(3), rnd.nextInt(4)), rnd.nextDouble()))
-    val chunks = es.grouped(70).zipWithIndex.map { case (g, src) =>
-      (src, g.flatMap(_._1), g.map(_._2))
-    }.toSeq.reverse // delivery order must not matter
     for (n <- 0 until order) {
-      val blk = PTucker.sortedBlock(n, dim, order, chunks.iterator, _ == 2)
+      val blk = PTucker.sortedBlock(n, dim, order, es.flatMap(_._1), es.map(_._2), _ == 2)
       val key: ((Array[Int], Double)) => Seq[Int] = e => e._1(n) +: (0 until order).filter(_ != n).map(e._1)
       val want = es.sortBy(key)(Ordering.Implicits.seqOrdering) // stable
       assert(blk.values.toSeq == want.map(_._2).toSeq, s"mode $n")

@@ -1,7 +1,8 @@
 package repro.core
 
 import org.apache.spark.{BroadcastProbe, ListenerProbe}
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageCompleted}
+import org.apache.spark.serializer.JavaSerializer
 import org.apache.spark.sql.Row
 import org.apache.spark.sql.types.{FloatType, LongType, StructField, StructType}
 import org.scalatest.concurrent.Eventually._
@@ -142,6 +143,51 @@ class PTuckerSpec extends SparkSpec {
           assert(sizes.sum == nnz, s"T=$p, mode $n: blocks hold ${sizes.sum} of $nnz entries")
           assert(sizes.max <= 1.5 * nnz / p, s"T=$p, mode $n: block sizes ${sizes.mkString(", ")}")
         }
+      } finally layout.close()
+    }
+  }
+
+  test("the row blocks equal a driver-side build from the collected entries") {
+    // each block's entries as (indices, values, split-row parts)
+    def contents(blocks: Array[Array[PTucker.RowBlock]]) =
+      blocks.toSeq.map(_.toSeq.map(b => (b.idx.toSeq, b.values.toSeq, b.parts.toSeq)))
+    val hot = hotRowTensor()
+    val hotRows = hot.collectEntries().toSeq.map { case (idx, v) => Row.fromSeq(idx.toSeq :+ v) }
+    def inPartitions(k: Int) =
+      SparseTensor(hot.dims, spark.createDataFrame(spark.sparkContext.parallelize(hotRows, k), SparseTensor.schema(3)))
+    val inputs = Seq(1, 3, 7).map(k => (s"hot rows in $k partitions", inPartitions(k))) ++
+      Seq(("hot rows from fromEntries", hot), ("planted", planted))
+    for ((name, t) <- inputs; p <- Seq(1, 2, 4, 16)) {
+      val entries = t.collectEntries()
+      val counts = t.dims.map { d => new Array[Long](d) }
+      entries.foreach { case (idx, _) => idx.indices.foreach(n => counts(n)(idx(n)) += 1) }
+      val place = PTucker.Placement(counts, entries.length.toLong, p)
+      val want = Array.tabulate(p, t.order) { (b, n) =>
+        val mine = entries.filter { case (idx, _) => place.blockOf(n, idx) == b }
+        PTucker.sortedBlock(n, t.dims(n), t.order, mine.flatMap(_._1), mine.map(_._2), place.isSplit(n, _))
+      }
+      if (p >= 4) assert(want.exists(_.exists(_.parts.nonEmpty)), s"$name, T=$p: no split row")
+      val layout = new PTucker.BlockLayout(spark, t, p, baseConfig.copy(partitions = p))
+      try {
+        layout.open(Array.empty, null)
+        assert(contents(layout.blocks.collect()) == contents(want), s"$name, T=$p")
+      } finally layout.close()
+    }
+  }
+
+  test("the row blocks are locally checkpointed: a mode-update task does not carry the input's lineage") {
+    // Spark serializes a task's binary and partition with Java serialization
+    val ser = new JavaSerializer(spark.sparkContext.getConf).newInstance()
+    for ((name, t) <- Seq(("planted", planted), ("fromEntries", hotRowTensor()))) {
+      val layout = new PTucker.BlockLayout(spark, t, 4, baseConfig)
+      try {
+        layout.open(Array.empty, null)
+        val blocks = layout.blocks
+        // what a SolveBlocks task ships: its binary (the RDD and the
+        // function) and its partition
+        val binary = ser.serialize((blocks, new PTucker.SolveBlocks(0, 2, 0.01, true, null)): AnyRef).limit()
+        val partition = ser.serialize(blocks.partitions(0)).limit()
+        assert(binary + partition < 8192, s"$name: task binary $binary bytes, partition $partition bytes")
       } finally layout.close()
     }
   }
@@ -321,14 +367,11 @@ class PTuckerSpec extends SparkSpec {
   }
 
   test("input validation: a null field is rejected, naming the entry") {
-    // Default and Approx read the input as InternalRows, which read a null
-    // int as 0. Cache reads Rows (SparseTensor.entriesRdd), which throw.
-    val rowBlocks = Seq(PTuckerVariant.Default, PTuckerVariant.Approx)
+    // Every variant reads the input as InternalRows, which read a null int as 0.
     val nullable = StructType(SparseTensor.schema(3).fields.map(_.copy(nullable = true)))
-    assertRejectedInput(tensorOf(nullable, Row(0, 0, 0, 1.0), Row(1, 2, 0, null)), "entry (1, 2, 0): value is null",
-      rowBlocks)
+    assertRejectedInput(tensorOf(nullable, Row(0, 0, 0, 1.0), Row(1, 2, 0, null)), "entry (1, 2, 0): value is null")
     assertRejectedInput(tensorOf(nullable, Row(0, 0, 0, 1.0), Row(1, null, 0, 2.0)),
-      "entry (1, null, 0): mode 1 index is null", rowBlocks)
+      "entry (1, null, 0): mode 1 index is null")
   }
 
   test("fit leaves no RDD persisted, for every variant") {
@@ -346,15 +389,29 @@ class PTuckerSpec extends SparkSpec {
     }
   }
 
-  /** The descriptions of the jobs that `body` submits, in job order. */
-  private def jobDescriptions(body: => Any): Seq[String] = {
+  /** The descriptions of the jobs that `body` submits, in job order, and
+    * the shuffle bytes and records that each stage they ran wrote.
+    */
+  private def fitJobs(body: => Any): (Seq[String], Seq[(Long, Long)]) = {
     val sc = spark.sparkContext
     val marker = "repro.test.fitJobs"
     val seen = mutable.ArrayBuffer.empty[(Int, String)]
+    val stageIds = mutable.Set.empty[Int]
+    val stages = mutable.ArrayBuffer.empty[(Long, Long)]
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit =
         if (e.properties != null && e.properties.getProperty(marker) != null)
-          seen.synchronized(seen += ((e.jobId, e.properties.getProperty("spark.job.description"))))
+          seen.synchronized {
+            seen += ((e.jobId, e.properties.getProperty("spark.job.description")))
+            stageIds ++= e.stageIds
+          }
+      override def onStageCompleted(e: SparkListenerStageCompleted): Unit =
+        seen.synchronized {
+          if (stageIds.contains(e.stageInfo.stageId)) {
+            val w = e.stageInfo.taskMetrics.shuffleWriteMetrics
+            stages += ((w.bytesWritten, w.recordsWritten))
+          }
+        }
     }
     sc.addSparkListener(listener)
     sc.setLocalProperty(marker, "1")
@@ -364,7 +421,7 @@ class PTuckerSpec extends SparkSpec {
       ListenerProbe.drain(sc)
       sc.removeSparkListener(listener)
     }
-    seen.synchronized(seen.sortBy(_._1).map(_._2).toList)
+    seen.synchronized((seen.sortBy(_._1).map(_._2).toList, stages.toList))
   }
 
   test("every fit job is tagged ptucker/i<k>/m<n>/<phase>, and the caller's description survives") {
@@ -381,9 +438,14 @@ class PTuckerSpec extends SparkSpec {
     sc.setJobDescription("caller")
     try {
       for (v <- variants) {
-        val got = jobDescriptions(PTucker.fit(spark, planted, baseConfig.copy(variant = v, maxIters = iters)))
+        val (got, stages) = fitJobs(PTucker.fit(spark, planted, baseConfig.copy(variant = v, maxIters = iters)))
         assert(got == want(v), s"$v")
         assert(sc.getLocalProperty("spark.job.description") == "caller", s"$v")
+        // Default and Approx: one stage per job, none of which shuffles.
+        if (v != PTuckerVariant.Cache) {
+          assert(stages.size == 2 + 3 * iters, s"$v: ${stages.size} stages")
+          assert(stages.forall(_ == ((0L, 0L))), s"$v: shuffle bytes and records written ${stages.mkString(", ")}")
+        }
       }
       assert(want(PTuckerVariant.Default).size == 2 + 3 * iters)
       assert(want(PTuckerVariant.Approx).size == 2 + 3 * iters)
