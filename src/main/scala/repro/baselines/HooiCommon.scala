@@ -1,52 +1,67 @@
 package repro.baselines
 
+import org.apache.spark.TaskContext
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.storage.StorageLevel
-import repro.core.{IterStat, TuckerKernels, TuckerModel}
+import repro.core.{IterStat, Jobs, PartitionTask, RowBlocks, TuckerKernels, TuckerModel}
+import repro.core.RowBlocks.RowBlock
 import repro.core.TuckerKernels.FactorData
 import repro.linalg.DenseMatrix
-import repro.tensor.{CoreEntry, CoreTensor, DenseTensor, SparseTensor, TensorEntry}
+import repro.tensor.{CoreEntry, CoreTensor, DenseTensor, SparseTensor}
+
+import scala.collection.mutable
 
 /** Shared machinery for the sparse zero-filled HOOI competitors
-  * ([[SHotScan]], [[TuckerCsf]]): both run the same [[HooiCommon.sweep]] and
-  * differ only in how they produce the TTMc rows
-  * `y_{i_n} = Σ_{α ∈ Ω^(n)_{i_n}} x_α · (⊗_{k≠n} a^(k)_{i_k,:})`; the sweep
-  * then needs the `J_n` leading left singular vectors of the implicit
-  * `Y_(n)` without materializing it on the driver.
+  * ([[SHotScan]], [[TuckerCsf]]): both run the same [[HooiCommon.sweep]] over
+  * P-Tucker's row blocks ([[RowBlocks]]) and differ only in how they
+  * compute one row's TTMc
+  * `y_{i_n} = Σ_{α ∈ Ω^(n)_{i_n}} x_α · (⊗_{k≠n} a^(k)_{i_k,:})` from the
+  * row's run of entries ([[RunTtmc]]). The sweep needs the `J_n` leading
+  * left singular vectors of `Y_(n)`, whose rows are the `y_i`, and stores
+  * `Y_(n)` nowhere.
   *
-  * The factorization path is the scan-friendly Gram route: `M = Y_(n)ᵀY_(n)`
-  * (`L×L`, `L = ∏_{k≠n} J_k` — small) accumulated by `treeAggregate`, a
-  * Jacobi eigendecomposition of `M` on the driver, then per-row
-  * `u_i = y_i V_r Σ_r^{-1}` computed where the rows live. Only `M` and the
-  * `I_n×J_n` factor ever reach the driver.
+  * The factorization path is the scan-friendly Gram route, in two jobs per
+  * mode, neither of which shuffles. The Gram job sums `M = Y_(n)ᵀY_(n)`
+  * (`L×L`, `L = ∏_{k≠n} J_k`, small) over the runs, and the driver takes
+  * the Jacobi eigendecomposition of `M`. The projection job scans again,
+  * as S-HOT_scan does: it recomputes each run's `y_i` and returns
+  * `u_i = y_i V_r Σ_r^{-1}`. A row split over several blocks ships each
+  * part's partial `y_i` from the Gram job instead; the driver sums the
+  * parts in partition order, adds `y_i y_iᵀ` to `M`, and projects the sum
+  * itself. Only `M`, the split rows' `y_i` and the `I_n×J_n` factor reach
+  * the driver.
   */
 object HooiCommon {
 
+  /** The method name in a HOOI fit's job tags ([[Jobs.tag]]). */
+  private val Method = "hooi"
+
+  /** A method's TTMc over one row's run: adds
+    * `Σ_α x_α · ⊗_{k≠n} a^(k)_{i_k,:}` over the entries `start until end`
+    * of the mode-`n` block `b`, which all lie in one row, into `y` (length
+    * `∏_{k≠n} J_k`, the first non-target mode fastest). The run is sorted
+    * by the other indices in ascending mode order.
+    */
+  private[baselines] trait RunTtmc extends Serializable {
+    def apply(b: RowBlock, start: Int, end: Int, n: Int, f: FactorData, y: Array[Double]): Unit
+  }
+
   /** Algorithm 1 with zeros for missing entries: QR-initialised random
     * factors, `maxIters` sweeps that each update every mode from the rows
-    * `ttmcRows` builds, then the core by one scan. The entries are persisted
-    * once for the whole fit and released, with the live broadcast, even when
-    * the fit throws.
-    *
-    * @param ttmcRows the method's TTMc row builder: `(entries, mode, kronLen,
-    *                 factors)` → `(i_n, y)` pairs whose sums per `i_n` are
-    *                 the rows of `Y_(n)` (length `kronLen = ∏_{k≠n} J_k`);
-    *                 a row may arrive as several partial sums.
+    * `ttmc` builds, then the core by one more scan. The input is read once,
+    * into row blocks, and they are released, with every broadcast, even
+    * when the fit throws. A fit runs `3 + 2N·maxIters` jobs, tagged
+    * `hooi/i<k>/m<n>/<phase>`, and none of them shuffles.
     */
-  def sweep(spark: SparkSession, tensor: SparseTensor, ranks: Array[Int], maxIters: Int,
-            partitions: Int, seed: Long)
-           (ttmcRows: (RDD[TensorEntry], Int, Int, Broadcast[FactorData]) => RDD[(Int, Array[Double])])
-      : TuckerModel = {
+  private[baselines] def sweep(spark: SparkSession, tensor: SparseTensor, ranks: Array[Int], maxIters: Int,
+                               partitions: Int, seed: Long)(ttmc: RunTtmc): TuckerModel = {
     val order = tensor.order
-    require(ranks.length == order)
+    require(ranks.length == order, "ranks must have one entry per mode")
     val sc = spark.sparkContext
     val T = if (partitions > 0) partitions else sc.defaultParallelism
-    val entries = tensor.entriesRdd(T).persist(StorageLevel.MEMORY_AND_DISK)
-    var bF: Broadcast[FactorData] = null
+    val blocks = RowBlocks.open(tensor, T, Method)
     try {
-      entries.count()
       val factors = Array.tabulate(order)(n =>
         DenseMatrix.qr(DenseMatrix.rand(tensor.dims(n), ranks(n), seed + n))._1)
       var history = Vector.empty[IterStat]
@@ -55,46 +70,172 @@ object HooiCommon {
         val t0 = System.nanoTime()
         var n = 0
         while (n < order) {
-          val kronLen = ranks.indices.filter(_ != n).map(ranks).product
-          bF = sc.broadcast(TuckerKernels.factorData(factors))
-          val rows = ttmcRows(entries, n, kronLen, bF).reduceByKey(addInto)
-          factors(n) = factorFromRows(spark, rows, tensor.dims(n), kronLen, ranks(n))
-          bF.destroy(); bF = null
+          factors(n) = updateMode(blocks.rdd, it + 1, n, factors, ranks, ttmc)
           n += 1
         }
         history :+= IterStat(it + 1, (System.nanoTime() - t0) / 1000000L,
           Double.NaN, Double.NaN, ranks.product)
         it += 1
       }
-      val core = coreFromEntries(spark, entries, factors, ranks)
+      val core = coreOf(blocks.rdd, maxIters, factors, ranks)
       TuckerModel(tensor.dims, ranks, factors, core, history)
-    } finally {
-      entries.unpersist(blocking = false)
-      if (bF != null) bF.destroy()
+    } finally blocks.close()
+  }
+
+  /** Mode `n`'s updated (orthonormal) factor, from the Gram and the
+    * projection job of iteration `iter` (see [[HooiCommon]]).
+    */
+  private def updateMode(blocks: RDD[Array[RowBlock]], iter: Int, n: Int, factors: Array[DenseMatrix],
+                         ranks: Array[Int], ttmc: RunTtmc): DenseMatrix = {
+    val iN = factors(n).rows
+    val rank = ranks(n)
+    val kronLen = ranks.indices.filter(_ != n).map(ranks).product
+    require(rank <= math.min(iN, kronLen), s"rank $rank > min(I=$iN, L=$kronLen)")
+    val bF = blocks.sparkContext.broadcast(TuckerKernels.factorData(factors))
+    try {
+      val m = new Array[Double](kronLen * kronLen)
+      val split = mutable.LinkedHashMap.empty[Int, Array[Double]]
+      Jobs.run(blocks, Jobs.tag(Method, iter, n, "gram"), new Scan(n, kronLen, bF, ttmc, null)).foreach { s =>
+        if (s.m != null) addInto(m, s.m, 0)
+        s.rows.indices.foreach { q =>
+          addInto(split.getOrElseUpdate(s.rows(q), new Array[Double](kronLen)), s.data, q * kronLen)
+        }
+      }
+      split.valuesIterator.foreach(addGram(m, _))
+      val (vals, vecs) = DenseMatrix.symEigen(new DenseMatrix(kronLen, kronLen, m))
+      // V_r·Σ_r⁻¹, with a zero column for σ ≤ 1e-10
+      val p = DenseMatrix.zeros(kronLen, rank)
+      for (j <- 0 until rank) {
+        val sigma = math.sqrt(math.max(vals(j), 0.0))
+        if (sigma > 1e-10) for (k <- 0 until kronLen) p(k, j) = vecs(k, j) / sigma
+      }
+      val u = DenseMatrix.zeros(iN, rank)
+      Jobs.run(blocks, Jobs.tag(Method, iter, n, "project"), new Scan(n, kronLen, bF, ttmc, p)).foreach { s =>
+        s.rows.indices.foreach(r => System.arraycopy(s.data, r * rank, u.data, s.rows(r) * rank, rank))
+      }
+      split.foreach { case (i, y) => u.setRow(i, project(y, p)) }
+      DenseMatrix.qr(u)._1 // re-orthonormalize (repairs zero-σ columns)
+    } finally bF.destroy()
+  }
+
+  /** `u = y·p`. */
+  private def project(y: Array[Double], p: DenseMatrix): Array[Double] = (new DenseMatrix(1, y.length, y) * p).data
+
+  /** A block's share of a [[Scan]]. */
+  private final case class ScanPart(m: Array[Double], rows: Array[Int], data: Array[Double])
+
+  /** One pass over a partition's mode-`n` block, computing each run's `y_i`
+    * with `ttmc`. In the Gram job (`p` null) it returns `m = Σ y_i y_iᵀ` over
+    * the block's whole rows (null for an empty block), and the rows and
+    * partial `y_i` of its parts of split rows, `L` doubles apiece. In the
+    * projection job it returns the whole rows and their `u_i = y_i·p`, and
+    * skips the parts, whose sum the driver projects.
+    */
+  private final class Scan(n: Int, kronLen: Int, bF: Broadcast[FactorData], ttmc: RunTtmc, p: DenseMatrix)
+      extends PartitionTask[Array[RowBlock], ScanPart] {
+    def apply(ctx: TaskContext, it: Iterator[Array[RowBlock]]): ScanPart = {
+      val b = it.next()(n)
+      val m = if (p == null && b.nnz > 0) new Array[Double](kronLen * kronLen) else null
+      val rows = new mutable.ArrayBuilder.ofInt
+      val data = new mutable.ArrayBuilder.ofDouble
+      val y = new Array[Double](kronLen)
+      var start = 0
+      while (start < b.nnz) {
+        val end = b.runEnd(n, start)
+        val i = b.idx(start * b.order + n)
+        val part = b.isPart(i)
+        if (p == null || !part) {
+          java.util.Arrays.fill(y, 0.0)
+          ttmc(b, start, end, n, bF.value, y)
+          if (p != null) { rows += i; data ++= project(y, p) }
+          else if (part) { rows += i; data ++= y }
+          else addGram(m, y)
+        }
+        start = end
+      }
+      ScanPart(m, rows.result(), data.result())
     }
   }
 
-  /** `x += y`, elementwise; returns `x`. */
-  private def addInto(x: Array[Double], y: Array[Double]): Array[Double] = {
-    var i = 0; while (i < x.length) { x(i) += y(i); i += 1 }; x
+  /** `G(β) = Σ_{α∈Ω} x_α ∏_k a^(k)_{i_k β_k}`, the final core, from one job
+    * over mode 0's blocks (zero-filled semantics: missing entries contribute
+    * nothing), summed in partition order.
+    */
+  private[baselines] def coreOf(blocks: RDD[Array[RowBlock]], iter: Int, factors: Array[DenseMatrix],
+                                ranks: Array[Int]): CoreTensor = {
+    val cells = DenseTensor.indices(ranks).toArray
+    val bF = blocks.sparkContext.broadcast(TuckerKernels.factorData(factors))
+    val g =
+      try Jobs.run(blocks, Jobs.tag(Method, iter, 0, "core"), new CoreSums(cells, bF))
+        .foldLeft(new Array[Double](cells.length))((acc, part) => addInto(acc, part, 0))
+      finally bF.destroy()
+    new CoreTensor(ranks.clone(), cells.zip(g).map { case (idx, v) => CoreEntry(idx, v) })
   }
 
-  /** `x · (⊗_{k≠n} a^(k)_{i_k,:})` accumulated into `acc` (length
-    * `∏_{k≠n} J_k`), built by repeated outer products — the naive per-entry
-    * TTMc kernel S-HOT scans with.
+  /** A mode-0 block's share of [[coreOf]]: each entry walks every core cell
+    * (`N·|G|` multiplies per entry; |G| is small for every bench that runs
+    * this path).
     */
-  def accumulateKron(acc: Array[Double], e: TensorEntry, n: Int,
-                     factorRows: Array[Array[Double]]): Unit = {
-    // factorRows(k) = a^(k)_{i_k,:} for k != n (null at k == n)
-    var cur = Array(e.value)
+  private final class CoreSums(cells: Array[Array[Int]], bF: Broadcast[FactorData])
+      extends PartitionTask[Array[RowBlock], Array[Double]] {
+    def apply(ctx: TaskContext, it: Iterator[Array[RowBlock]]): Array[Double] = {
+      val b = it.next()(0)
+      val acc = new Array[Double](cells.length)
+      if (b.nnz > 0) {
+        val f = bF.value
+        val idx = new Array[Int](b.order)
+        var e = 0
+        while (e < b.nnz) {
+          b.indexInto(e, idx)
+          var c = 0
+          while (c < cells.length) {
+            acc(c) += TuckerKernels.cellProduct(idx, cells(c), b.values(e), TuckerKernels.NoSkip, f)
+            c += 1
+          }
+          e += 1
+        }
+      }
+      acc
+    }
+  }
+
+  /** `x += y(off until off + x.length)`, elementwise; returns `x`. */
+  private def addInto(x: Array[Double], y: Array[Double], off: Int): Array[Double] = {
+    var i = 0; while (i < x.length) { x(i) += y(off + i); i += 1 }; x
+  }
+
+  /** `m += y yᵀ` for the row-major `L×L` matrix `m` (`L = y.length`). */
+  private def addGram(m: Array[Double], y: Array[Double]): Unit = {
+    val kronLen = y.length
+    var a = 0
+    while (a < kronLen) {
+      val ya = y(a)
+      if (ya != 0.0) {
+        var b = 0
+        while (b < kronLen) { m(a * kronLen + b) += ya * y(b); b += 1 }
+      }
+      a += 1
+    }
+  }
+
+  /** `x · (⊗_{k≠n} a^(k)_{i_k,:})` for the entry with indices
+    * `idx(off until off + N)` and value `x`, accumulated into `acc` (length
+    * `∏_{k≠n} J_k`, the first non-target mode fastest) and built by
+    * repeated outer products: the naive per-entry TTMc kernel S-HOT scans
+    * with.
+    */
+  def accumulateKron(acc: Array[Double], idx: Array[Int], off: Int, x: Double, n: Int, f: FactorData): Unit = {
+    var cur = Array(x)
     var k = 0
-    while (k < factorRows.length) {
+    while (k < f.length) {
       if (k != n) {
-        val row = factorRows(k)
-        val next = new Array[Double](cur.length * row.length)
+        val cols = f(k)._1
+        val data = f(k)._2
+        val rowOff = idx(off + k) * cols
+        val next = new Array[Double](cur.length * cols)
         var j = 0
-        while (j < row.length) {
-          val w = row(j)
+        while (j < cols) {
+          val w = data(rowOff + j)
           if (w != 0.0) {
             var i = 0
             while (i < cur.length) { next(j * cur.length + i) += w * cur(i); i += 1 }
@@ -107,80 +248,5 @@ object HooiCommon {
     }
     var i = 0
     while (i < acc.length) { acc(i) += cur(i); i += 1 }
-  }
-
-  /** From distributed TTMc rows to the updated (orthonormal) factor matrix. */
-  def factorFromRows(spark: SparkSession, rows: RDD[(Int, Array[Double])],
-                     iN: Int, kronLen: Int, rank: Int): DenseMatrix = {
-    require(rank <= math.min(iN, kronLen),
-      s"rank $rank > min(I=$iN, L=$kronLen)")
-    // M = Yᵀ Y, accumulated where the rows live.
-    val m = rows.treeAggregate(new Array[Double](kronLen * kronLen))(
-      seqOp = { case (acc, (_, y)) =>
-        var a = 0
-        while (a < kronLen) {
-          val ya = y(a)
-          if (ya != 0.0) {
-            var b = 0
-            while (b < kronLen) { acc(a * kronLen + b) += ya * y(b); b += 1 }
-          }
-          a += 1
-        }
-        acc
-      },
-      combOp = addInto)
-    val (vals, vecs) = DenseMatrix.symEigen(new DenseMatrix(kronLen, kronLen, m))
-    val vr = Array.tabulate(rank) { j =>
-      val sigma = math.sqrt(math.max(vals(j), 0.0))
-      val col = new Array[Double](kronLen)
-      var i = 0
-      while (i < kronLen) { col(i) = vecs(i, j); i += 1 }
-      (col, if (sigma > 1e-10) 1.0 / sigma else 0.0)
-    }
-    val bVr = spark.sparkContext.broadcast(vr)
-    val factorRows = rows.map { case (i, y) =>
-      val out = new Array[Double](rank)
-      val v = bVr.value
-      var j = 0
-      while (j < rank) {
-        val (col, invSigma) = v(j)
-        var s = 0.0
-        var k = 0
-        while (k < kronLen) { s += y(k) * col(k); k += 1 }
-        out(j) = s * invSigma
-        j += 1
-      }
-      (i, out)
-    }.collect()
-    bVr.destroy()
-    val u = DenseMatrix.zeros(iN, rank)
-    factorRows.foreach { case (i, r) => u.setRow(i, r) }
-    DenseMatrix.qr(u)._1 // re-orthonormalize (repairs zero-σ columns)
-  }
-
-  /** `G(β) = Σ_{α∈Ω} x_α ∏_k a^(k)_{i_k β_k}` — the final core, computed by
-    * one scan (zero-filled semantics: missing entries contribute nothing).
-    */
-  def coreFromEntries(spark: SparkSession, entries: RDD[TensorEntry],
-                      factors: Array[DenseMatrix], ranks: Array[Int]): CoreTensor = {
-    val cells = DenseTensor.indices(ranks).toArray
-    val bF = spark.sparkContext.broadcast(TuckerKernels.factorData(factors))
-    val bCells = spark.sparkContext.broadcast(cells)
-    val g = entries.treeAggregate(new Array[Double](cells.length))(
-      seqOp = { (acc, e) =>
-        // walk all core cells; products built incrementally per mode would
-        // be faster, but |G| is small for every bench that runs this path.
-        val cs = bCells.value
-        val f = bF.value
-        var cell = 0
-        while (cell < acc.length) {
-          acc(cell) += TuckerKernels.cellProduct(e.idx, cs(cell), e.value, TuckerKernels.NoSkip, f)
-          cell += 1
-        }
-        acc
-      },
-      combOp = addInto)
-    bF.destroy(); bCells.destroy()
-    new CoreTensor(ranks.clone(), cells.zip(g).map { case (idx, v) => CoreEntry(idx, v) })
   }
 }

@@ -1,95 +1,73 @@
 package repro.baselines
 
 import org.apache.spark.sql.SparkSession
+import repro.core.RowBlocks.RowBlock
+import repro.core.TuckerKernels.FactorData
 import repro.core.TuckerModel
-import repro.tensor.{SparseTensor, TensorEntry}
-import scala.collection.mutable
+import repro.tensor.SparseTensor
 
 /** Tucker-CSF [20] (Smith & Karypis): HOOI whose tensor-times-matrix-chain
-  * (TTMc) is accelerated by a compressed-sparse-fiber structure — entries
+  * (TTMc) is accelerated by a compressed-sparse-fiber structure: entries
   * sharing index prefixes reuse the partial Kronecker products along the
   * shared path instead of rebuilding the full `⊗_{k≠n} a^(k)_{i_k,:}` per
   * nonzero. One CSF allocation (ascending mode order), as in the paper's
   * experimental setting.
   *
-  * Spark analog: each partition sorts its entries lexicographically by the
-  * non-target modes and walks them with a stack of partial Kronecker
-  * vectors (longest-common-prefix reuse ≙ the CSF tree walk), emitting
-  * accumulated `Y_(n)` rows that [[HooiCommon.sweep]] merges by
-  * `reduceByKey`. The SVD path is the shared Gram route of [[HooiCommon]].
-  * Must numerically match `TuckerHooi` (`TuckerCsfSpec` checks).
+  * Spark analog: a mode-`n` row block already holds each row's entries as
+  * one run sorted by the non-target indices in ascending mode order, which
+  * is the CSF tree's order below the root `i_n`. [[Ttmc]] walks a run with a
+  * stack of partial Kronecker vectors (longest-common-prefix reuse ≙ the
+  * CSF tree walk). The sweep and the SVD path are the shared Gram route of
+  * [[HooiCommon]]. Must numerically match `TuckerHooi` (`TuckerCsfSpec`
+  * checks).
   */
 object TuckerCsf {
 
   def fit(spark: SparkSession, tensor: SparseTensor, ranks: Array[Int],
           maxIters: Int = 20, partitions: Int = 0, seed: Long = 17): TuckerModel =
-    HooiCommon.sweep(spark, tensor, ranks, maxIters, partitions, seed) { (entries, mode, kronLen, bF) =>
-      entries.mapPartitions(part => csfTtmcRows(part, mode, kronLen, bF.value))
-    }
+    HooiCommon.sweep(spark, tensor, ranks, maxIters, partitions, seed)(Ttmc)
 
-  /** CSF-style TTMc over one partition: sort by the non-`mode` indices,
-    * reuse partial Kronecker vectors across the longest common prefix with
-    * the previous entry (the fiber-tree walk), accumulate per `i_mode`.
+  /** CSF's TTMc of a run: each entry reuses the partial Kronecker vectors of
+    * the longest index prefix, over the non-target modes in ascending
+    * order, that it shares with the entry before it in the run (the
+    * fiber-tree walk).
     */
-  private[baselines] def csfTtmcRows(part: Iterator[TensorEntry], mode: Int, kronLen: Int,
-                                     f: Array[(Int, Array[Double])]): Iterator[(Int, Array[Double])] = {
-    val arr = part.toArray
-    if (arr.isEmpty) return Iterator.empty
-    val order = arr(0).idx.length
-    val modesOrder = (0 until order).filter(_ != mode).toArray
-
-    java.util.Arrays.sort(arr, new java.util.Comparator[TensorEntry] {
-      override def compare(a: TensorEntry, b: TensorEntry): Int = {
-        var l = 0; var c = 0
-        while (l < modesOrder.length && c == 0) {
-          val k = modesOrder(l)
-          c = java.lang.Integer.compare(a.idx(k), b.idx(k))
-          l += 1
-        }
-        c
-      }
-    })
-
-    val acc = mutable.HashMap.empty[Int, Array[Double]]
-    // partials(l) = unscaled Kronecker of the first l non-target rows.
-    val partials = new Array[Array[Double]](modesOrder.length + 1)
-    partials(0) = Array(1.0)
-    var prev: TensorEntry = null
-    var i = 0
-    while (i < arr.length) {
-      val e = arr(i)
-      var common = 0
-      if (prev != null) {
-        while (common < modesOrder.length &&
-               e.idx(modesOrder(common)) == prev.idx(modesOrder(common))) common += 1
-      }
-      var lvl = common
-      while (lvl < modesOrder.length) {
-        val k = modesOrder(lvl)
-        val (cols, data) = f(k)
-        val rowOff = e.idx(k) * cols
-        val cur = partials(lvl)
-        val next = new Array[Double](cur.length * cols)
-        var j = 0
-        while (j < cols) {
-          val w = data(rowOff + j)
-          if (w != 0.0) {
+  private[baselines] object Ttmc extends HooiCommon.RunTtmc {
+    def apply(b: RowBlock, start: Int, end: Int, n: Int, f: FactorData, y: Array[Double]): Unit = {
+      val order = f.length
+      val modes = (0 until order).filter(_ != n).toArray
+      // partials(l) = the Kronecker product of the first l non-target rows.
+      val partials = new Array[Array[Double]](modes.length + 1)
+      partials(0) = Array(1.0)
+      var l = 0
+      while (l < modes.length) { partials(l + 1) = new Array[Double](partials(l).length * f(modes(l))._1); l += 1 }
+      val full = partials(modes.length)
+      var e = start
+      while (e < end) {
+        val off = e * order
+        var lvl = 0
+        if (e > start)
+          while (lvl < modes.length && b.idx(off + modes(lvl)) == b.idx(off - order + modes(lvl))) lvl += 1
+        while (lvl < modes.length) {
+          val k = modes(lvl)
+          val cols = f(k)._1
+          val rowOff = b.idx(off + k) * cols
+          val cur = partials(lvl)
+          val next = partials(lvl + 1)
+          var j = 0
+          while (j < cols) {
+            val w = f(k)._2(rowOff + j)
             var c = 0
             while (c < cur.length) { next(j * cur.length + c) = w * cur(c); c += 1 }
+            j += 1
           }
-          j += 1
+          lvl += 1
         }
-        partials(lvl + 1) = next
-        lvl += 1
+        val x = b.values(e)
+        var c = 0
+        while (c < full.length) { y(c) += x * full(c); c += 1 }
+        e += 1
       }
-      val full = partials(modesOrder.length)
-      val out = acc.getOrElseUpdate(e.idx(mode), new Array[Double](kronLen))
-      val x = e.value
-      var c = 0
-      while (c < kronLen) { out(c) += x * full(c); c += 1 }
-      prev = e
-      i += 1
     }
-    acc.iterator
   }
 }

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{IterStat, TuckerModel}
+import repro.core.{IterStat, RowBlocks, TuckerModel}
 import repro.linalg.DenseMatrix
 import repro.tensor.{CoreTensor, DenseTensor, SparseTensor}
 
@@ -20,13 +20,14 @@ import repro.tensor.{CoreTensor, DenseTensor, SparseTensor}
   * with backtracking + growth, which preserves the per-iteration cost and
   * memory profile (same gradient evaluations) and reaches the same fixed
   * points; `TuckerWoptSpec` verifies loss decrease and recovery of planted
-  * low-rank structure.
+  * low-rank structure. `fit` collects the entries through the checked
+  * reader that the sparse methods share ([[RowBlocks.collectChecked]]).
   */
 object TuckerWopt {
 
   def fit(spark: SparkSession, tensor: SparseTensor, ranks: Array[Int],
           maxIters: Int = 50, seed: Long = 17, initialStep: Double = 0.5): TuckerModel = {
-    val obs = tensor.collectEntries()
+    val obs = RowBlocks.collectChecked(tensor, "wopt").map(e => (e.idx, e.value))
     fitEntries(tensor.dims, obs, ranks, maxIters, seed, initialStep)
   }
 

@@ -8,19 +8,20 @@ import scala.reflect.ClassTag
 /** One partition's share of a job that [[Jobs.run]] submits. Subclasses are
   * named classes, never lambdas (see [[Jobs.run]]).
   */
-private[core] abstract class PartitionTask[T, R] extends ((TaskContext, Iterator[T]) => R) with Serializable
+private[repro] abstract class PartitionTask[T, R] extends ((TaskContext, Iterator[T]) => R) with Serializable
 
 /** How a fit submits its Spark jobs, and how it tags them. */
-private[core] object Jobs {
+private[repro] object Jobs {
 
   /** The local property that names a job in Spark's UI and listener events. */
   val DescriptionKey = "spark.job.description"
 
-  /** A fit job's description: `ptucker/i<iter>/m<mode>/<phase>`. The set-up
-    * jobs before the first iteration carry `i0/m0`; an iteration's jobs
-    * carry its number (from 1) and the mode whose entries they read.
+  /** A fit job's description: `<method>/i<iter>/m<mode>/<phase>`, where
+    * `method` is `ptucker`, `hooi` or `wopt`. The set-up jobs before the
+    * first iteration carry `i0/m0`; an iteration's jobs carry its number
+    * (from 1) and the mode whose entries they read.
     */
-  def tag(iter: Int, mode: Int, phase: String): String = s"ptucker/i$iter/m$mode/$phase"
+  def tag(method: String, iter: Int, mode: Int, phase: String): String = s"$method/i$iter/m$mode/$phase"
 
   /** Runs `body` with the job description `description`, then restores the
     * caller's description, also when `body` throws.

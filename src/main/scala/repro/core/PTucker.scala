@@ -1,18 +1,15 @@
 package repro.core
 
-import org.apache.spark.{NarrowDependency, Partition, SparkException, TaskContext}
+import org.apache.spark.{SparkException, TaskContext}
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.types.{DoubleType, IntegerType}
 import org.apache.spark.storage.StorageLevel
 import repro.linalg.DenseMatrix
 import repro.tensor.{CoreTensor, SparseTensor, TensorEntry}
 
 import scala.collection.mutable
 import scala.reflect.ClassTag
-import scala.util.hashing.MurmurHash3
 
 /** Which Algorithm-2/3 variant to run (Section III-C). */
 sealed trait PTuckerVariant
@@ -51,8 +48,9 @@ final case class PTuckerConfig(ranks: Array[Int],
   *
   * Parallelization mapping (DESIGN.md §2): the paper updates the rows of
   * `A^(n)` across OpenMP threads. Default and Approx lay the entries out once
-  * per fit in row blocks, T partitions each holding one block per mode,
-  * placed by the rows' entry counts (MLlib ALS's in-block layout). A mode update is then one
+  * per fit in row blocks ([[RowBlocks]], which the HOOI competitors sweep
+  * too), T partitions each holding one block per mode, placed by the rows'
+  * entry counts (MLlib ALS's in-block layout). A mode update is then one
   * stage of T tasks: each assembles its rows' normal equations
   * `(B_{i_n}, c_{i_n})` of Eq. (11)-(12), solves them (Eq. 10) and returns
   * the rows, with no shuffle. Cache's Pres table is aligned with the entries
@@ -64,6 +62,7 @@ final case class PTuckerConfig(ranks: Array[Int],
 object PTucker {
 
   import CoreTree.TopSplit
+  import RowBlocks.{CheckedEntries, RowBlock, checkSchema, inputChecked, materialize, release}
   import TuckerKernels.{CoreCells, FactorData, NoSkip, cellProduct, coreCells, factorData}
 
   /** What a task needs of the model: the factors, the core's tree and, for
@@ -71,6 +70,9 @@ object PTucker {
     * Built once on the driver and shipped in one broadcast.
     */
   private[core] final case class ModelData(f: FactorData, tree: CoreTree, split: Option[TopSplit])
+
+  /** The method name in this fit's job tags ([[Jobs.tag]]). */
+  private val Method = "ptucker"
 
   private def modelData(factors: Array[DenseMatrix], core: CoreTensor, withSplit: Boolean = false): ModelData =
     ModelData(factorData(factors), CoreTree(core), if (withSplit) Some(CoreTree.topSplit(core)) else None)
@@ -89,7 +91,6 @@ object PTucker {
     require(config.truncationRate >= 0 && config.truncationRate < 1,
       s"truncationRate ${config.truncationRate} outside [0, 1)")
     require(config.variant != PTuckerVariant.Approx || order >= 2, "P-Tucker-Approx needs an order of at least 2")
-    checkSchema(tensor)
     val T = if (config.partitions > 0) config.partitions else spark.sparkContext.defaultParallelism
     // Default and Approx update over row blocks, Cache over its Pres table.
     val layout: Layout =
@@ -156,7 +157,7 @@ object PTucker {
 
   /** How a fit stores the entries and updates one mode over them. */
   private[core] sealed trait Layout {
-    /** Reads the input, checking every entry ([[checkEntry]]), and returns
+    /** Reads the input, checking every entry ([[RowBlocks]]), and returns
       * ‖X‖ over the observed entries. `factors` and `core` are the initial
       * model, from which Cache builds its Pres table.
       */
@@ -176,29 +177,21 @@ object PTucker {
     def close(): Unit
   }
 
-  /** Default and Approx: the entries in row blocks ([[BlockScan]]), placed
-    * by [[Placement]]. A mode update is one stage of T tasks, each over its
-    * partition's block of the mode, with no shuffle ([[solveBlocks]]).
+  /** Default and Approx: the entries in row blocks ([[RowBlocks]]). A mode
+    * update is one stage of T tasks, each over its partition's block of the
+    * mode, with no shuffle ([[solveBlocks]]).
     */
   private[core] final class BlockLayout(spark: SparkSession, tensor: SparseTensor, T: Int,
                                         config: PTuckerConfig) extends Layout {
     private val sc = spark.sparkContext
-    private var placement: Broadcast[Placement] = _
-    private var rdd: RDD[Array[RowBlock]] = _
+    private var rowBlocks: RowBlocks = _
 
-    /** T partitions; partition `b` holds every mode's block `b`, mode `n`'s
-      * at index `n`. Null before [[open]].
-      */
-    def blocks: RDD[Array[RowBlock]] = rdd
+    /** The blocks' T partitions ([[RowBlocks.rdd]]), after [[open]]. */
+    def blocks: RDD[Array[RowBlock]] = rowBlocks.rdd
 
     def open(factors: Array[DenseMatrix], core: CoreTensor): Double = {
-      val (counts, sumSq) = inputChecked(countRows(tensor))
-      val nnz = counts(0).sum
-      require(nnz > 0, "empty tensor")
-      placement = sc.broadcast(Placement(counts, nnz, T))
-      rdd = materialize(new BlockScan(tensor.df.queryExecution.toRdd, tensor.dims, placement, T),
-        Jobs.tag(0, 0, "materialize"))
-      math.sqrt(sumSq)
+      rowBlocks = RowBlocks.open(tensor, T, Method)
+      rowBlocks.norm
     }
 
     def updateMode(iter: Int, n: Int, factors: Array[DenseMatrix], core: CoreTensor, rBeta: Boolean): ModeStats = {
@@ -208,7 +201,7 @@ object PTucker {
       try {
         val updated = DenseMatrix.zeros(tensor.dims(n), config.ranks(n))
         val stats = rowSolve(config.variant, iter, n) {
-          solveBlocks(rdd, Jobs.tag(iter, n, "mode_update"), n, config.ranks(n), config.lambda, last,
+          solveBlocks(blocks, Jobs.tag(Method, iter, n, "mode_update"), n, config.ranks(n), config.lambda, last,
             bM, model.split, core, factors(n), updated)
         }
         factors(n) = updated
@@ -216,10 +209,7 @@ object PTucker {
       } finally bM.destroy()
     }
 
-    def close(): Unit = {
-      if (rdd != null) rdd.unpersist(blocking = false)
-      if (placement != null) placement.destroy()
-    }
+    def close(): Unit = if (rowBlocks != null) rowBlocks.close()
   }
 
   /** Cache: the entries and their Pres rows (Algorithm 3). Pres is aligned
@@ -245,9 +235,10 @@ object PTucker {
     }
 
     def open(factors: Array[DenseMatrix], core: CoreTensor): Double = {
+      checkSchema(tensor)
       entries = tensor.df.queryExecution.toRdd.mapPartitions(new CheckedEntries(tensor.dims)).repartition(T)
         .persist(StorageLevel.MEMORY_AND_DISK)
-      val (nnz, sumSq) = inputChecked(Jobs.run(entries, Jobs.tag(0, 0, "open"), new CountSquares))
+      val (nnz, sumSq) = inputChecked(Jobs.run(entries, Jobs.tag(Method, 0, 0, "open"), new CountSquares))
         .foldLeft((0L, 0.0)) { case ((n1, s1), (n2, s2)) => (n1 + n2, s1 + s2) }
       require(nnz > 0, "empty tensor")
       // Algorithm 3 lines 1-4: precompute the Pres cache table.
@@ -256,7 +247,7 @@ object PTucker {
         val ModelData(f, tree, _) = bM.value
         val s = tree.scratch()
         es.map(e => (e, computePres(e.idx, f, tree, s)))
-      }, Jobs.tag(0, 0, "materialize"))
+      }, Jobs.tag(Method, 0, 0, "materialize"))
       bM.unpersist()
       math.sqrt(sumSq)
     }
@@ -268,7 +259,7 @@ object PTucker {
       val bC = broadcast(coreCells(core))
       val updated = DenseMatrix.zeros(tensor.dims(n), jn)
       rowSolve(config.variant, iter, n) {
-        solveFromPres(pres, Jobs.tag(iter, n, "mode_update"), n, jn, config.lambda, bF, bC, updated)
+        solveFromPres(pres, Jobs.tag(Method, iter, n, "mode_update"), n, jn, config.lambda, bF, bC, updated)
       }
       factors(n) = updated
       // Algorithm 3 lines 16-19: patch Pres multiplicatively for mode n.
@@ -277,18 +268,19 @@ object PTucker {
       val old = pres
       pres = materialize(old.map { case (e, p) =>
         (e, patchPres(e.idx, p, n, bF.value(n), bC.value, bNew.value))
-      }, Jobs.tag(iter, n, "materialize"))
-      old.unpersist(blocking = false)
+      }, Jobs.tag(Method, iter, n, "materialize"))
+      release(old)
       Seq(bF, bC, bNew).foreach(_.unpersist())
       val sse =
         if (n == tensor.order - 1)
-          Jobs.described(sc, Jobs.tag(iter, n, "error_pass"))(TuckerKernels.sumSquaredError(spark, entries, factors, core))
+          Jobs.described(sc, Jobs.tag(Method, iter, n, "error_pass"))(TuckerKernels.sumSquaredError(spark, entries, factors, core))
         else 0.0
       ModeStats(sse, None)
     }
 
     def close(): Unit = {
-      Seq(entries, pres).foreach(r => if (r != null) r.unpersist(blocking = false))
+      if (entries != null) entries.unpersist(blocking = false)
+      if (pres != null) release(pres)
       pinned.foreach(_.destroy())
     }
   }
@@ -304,112 +296,6 @@ object PTucker {
         throw new IllegalStateException(s"P-Tucker $variant: row solve failed at iteration $iter, mode $n", e)
     }
 
-  /** Rejects a tensor whose columns are not, by position, N `IntegerType`
-    * indices and then one `DoubleType` value: the layouts read the columns
-    * by position, and an `InternalRow` does not check a column's type.
-    */
-  private def checkSchema(tensor: SparseTensor): Unit = {
-    val fields = tensor.df.schema.fields
-    val order = tensor.order
-    require(fields.length == order + 1,
-      s"an order-$order tensor has ${order + 1} columns, $order IntegerType indices and a DoubleType value, " +
-        s"not ${fields.length}: ${fields.map(c => s"${c.name} ${c.dataType}").mkString(", ")}")
-    fields.zipWithIndex.foreach { case (c, k) =>
-      val want = if (k < order) IntegerType else DoubleType
-      require(c.dataType == want, s"column $k (${c.name}) has type ${c.dataType}, not $want")
-    }
-  }
-
-  /** Reads input row `r` into `idx` and returns its value, after
-    * [[checkEntry]]. A null field is rejected, naming the entry.
-    */
-  private def decodeChecked(dims: Array[Int], r: InternalRow, idx: Array[Int]): Double = {
-    val order = dims.length
-    var k = 0
-    while (k <= order) {
-      if (r.isNullAt(k)) {
-        val fields = (0 to order).map(m => if (r.isNullAt(m)) "null" else if (m < order) r.getInt(m).toString
-          else r.getDouble(m).toString)
-        throw new IllegalArgumentException(
-          s"entry (${fields.init.mkString(", ")}): ${if (k < order) s"mode $k index" else "value"} is null")
-      }
-      k += 1
-    }
-    val value = decode(r, idx)
-    checkEntry(dims, idx, value)
-    value
-  }
-
-  /** Reads input row `r`, checked before, into `idx` and returns its value. */
-  private def decode(r: InternalRow, idx: Array[Int]): Double = {
-    var k = 0
-    while (k < idx.length) { idx(k) = r.getInt(k); k += 1 }
-    r.getDouble(idx.length)
-  }
-
-  /** Rejects an entry with an index outside `[0, dims(k))` or a value that
-    * is not finite.
-    */
-  private def checkEntry(dims: Array[Int], idx: Array[Int], value: Double): Unit = {
-    var k = 0
-    while (k < dims.length) {
-      if (idx(k) < 0 || idx(k) >= dims(k))
-        throw new IllegalArgumentException(s"mode $k: index ${idx(k)} outside [0, ${dims(k)})")
-      k += 1
-    }
-    if (!value.isFinite)
-      throw new IllegalArgumentException(s"entry (${idx.mkString(", ")}): value $value is not finite")
-  }
-
-  /** Runs the job that first reads the input. A [[checkEntry]] failure in a
-    * task surfaces as an IllegalArgumentException, not as Spark's job failure.
-    */
-  private def inputChecked[A](job: => A): A =
-    try job
-    catch {
-      case e: SparkException if e.getCause.isInstanceOf[IllegalArgumentException] =>
-        throw new IllegalArgumentException(e.getCause.getMessage, e)
-    }
-
-  /** One pass over the input: checks every entry and returns, per mode, the
-    * number of entries in each row, and `Σ x²`, summed in partition order.
-    */
-  private def countRows(tensor: SparseTensor): (Array[Array[Long]], Double) =
-    Jobs.run(tensor.df.queryExecution.toRdd, Jobs.tag(0, 0, "open"), new CountRows(tensor.dims))
-      .foldLeft((tensor.dims.map(d => new Array[Long](d)), 0.0)) { case ((c1, s1), (c2, s2)) =>
-        c1.zip(c2).foreach { case (a, b) => var i = 0; while (i < a.length) { a(i) += b(i); i += 1 } }
-        (c1, s1 + s2)
-      }
-
-  /** One input partition's share of [[countRows]]. */
-  private final class CountRows(dims: Array[Int]) extends PartitionTask[InternalRow, (Array[Array[Long]], Double)] {
-    def apply(ctx: TaskContext, rs: Iterator[InternalRow]): (Array[Array[Long]], Double) = {
-      val order = dims.length
-      val counts = dims.map(d => new Array[Long](d))
-      val e = new Array[Int](order)
-      var sumSq = 0.0
-      while (rs.hasNext) {
-        val v = decodeChecked(dims, rs.next(), e)
-        var n = 0
-        while (n < order) { counts(n)(e(n)) += 1; n += 1 }
-        sumSq += v * v
-      }
-      (counts, sumSq)
-    }
-  }
-
-  /** Cache's read of the input: each row as a [[TensorEntry]], after
-    * [[decodeChecked]]. A named class, so that building the RDD skips the
-    * closure cleaner.
-    */
-  private final class CheckedEntries(dims: Array[Int])
-      extends (Iterator[InternalRow] => Iterator[TensorEntry]) with Serializable {
-    def apply(rs: Iterator[InternalRow]): Iterator[TensorEntry] = rs.map { r =>
-      val idx = new Array[Int](dims.length)
-      TensorEntry(idx, decodeChecked(dims, r, idx))
-    }
-  }
-
   /** One partition's entry count and `Σ x²` (Cache's first pass). */
   private final class CountSquares extends PartitionTask[TensorEntry, (Long, Double)] {
     def apply(ctx: TaskContext, es: Iterator[TensorEntry]): (Long, Double) = {
@@ -419,234 +305,6 @@ object PTucker {
       (n, sumSq)
     }
   }
-
-  /** Which of its mode's T blocks each row's entries go to. `home(n)(i)` is
-    * row `i`'s block, or `-1 - s` for a row split into parts: part `q` goes
-    * to block `splits(n)(s)(q)`, and an entry to the part its index hashes to.
-    */
-  private[core] final case class Placement(home: Array[Array[Int]], splits: Array[Array[Array[Int]]]) {
-    def isSplit(n: Int, i: Int): Boolean = home(n)(i) < 0
-
-    /** The mode-`n` block of the entry with indices `idx`. */
-    def blockOf(n: Int, idx: Array[Int]): Int = {
-      val h = home(n)(idx(n))
-      if (h >= 0) h
-      else {
-        val parts = splits(n)(-1 - h)
-        parts(Math.floorMod(MurmurHash3.arrayHash(idx), parts.length))
-      }
-    }
-  }
-
-  private[core] object Placement {
-    /** Balances each mode's entries over T blocks, from its rows' entry
-      * counts. A row with more than `cap = ⌈|Ω|/2T⌉` entries is split into
-      * `min(⌈count/cap⌉, T)` parts of about equal size. Rows and parts then
-      * go, largest first, to the block with the fewest entries so far (ties
-      * to the lower block). So no block gets more than about
-      * `|Ω|/T + cap`, 1.5 times its share, however skewed the rows are; the
-      * hashing of a split row's entries to its parts adds a little to that.
-      */
-    def apply(counts: Array[Array[Long]], nnz: Long, T: Int): Placement = {
-      val cap = math.max(1L, (nnz + 2L * T - 1) / (2L * T))
-      val home = counts.map(c => new Array[Int](c.length))
-      val splits = Array.tabulate(counts.length) { n =>
-        val c = counts(n)
-        val rowsB = new mutable.ArrayBuilder.ofInt
-        var i = 0
-        while (i < c.length) { if (c(i) > 0) rowsB += i; i += 1 }
-        val rows = rowsB.result()
-        val parts = rows.map(i => math.min((c(i) + cap - 1) / cap, T.toLong).toInt)
-        val size = Array.tabulate(rows.length)(r => c(rows(r)) / parts(r))
-        // Largest first; the sort is stable, so equal sizes keep ascending rows.
-        val bySize = Array.range(0, rows.length)
-        mergeSort(bySize, new Array[Int](rows.length), 0, rows.length, (x, y) => java.lang.Long.compare(size(y), size(x)))
-        val loads = new Loads(T)
-        val split = mutable.ArrayBuffer.empty[Array[Int]]
-        bySize.foreach { r =>
-          val blocks = Array.fill(parts(r))(loads.take(size(r)))
-          home(n)(rows(r)) = if (blocks.length == 1) blocks(0) else { split += blocks; -split.length }
-        }
-        split.toArray
-      }
-      Placement(home, splits)
-    }
-  }
-
-  /** T blocks' loads, as a binary min-heap of the blocks on `(load, block)`. */
-  private final class Loads(T: Int) {
-    private val load = new Array[Long](T)
-    private val heap = Array.range(0, T) // all loads 0: ascending blocks are a heap
-    private def before(x: Int, y: Int): Boolean = load(x) < load(y) || (load(x) == load(y) && x < y)
-
-    /** The block with the least load (ties to the lower block), after adding
-      * `size` to its load.
-      */
-    def take(size: Long): Int = {
-      val b = heap(0)
-      load(b) += size
-      var k = 0
-      var done = false
-      while (!done && 2 * k + 1 < T) {
-        var c = 2 * k + 1
-        if (c + 1 < T && before(heap(c + 1), heap(c))) c += 1
-        if (before(heap(c), b)) { heap(k) = heap(c); k = c } else done = true
-      }
-      heap(k) = b
-      b
-    }
-  }
-
-  /** One block of one mode's entries, in columnar form: entry `e` has
-    * indices `idx(e·N until (e+1)·N)` and value `values(e)`. The entries are
-    * sorted by the mode's index, so each row's entries form one run. `parts`
-    * lists, ascending, the rows whose run is one part of a split row.
-    */
-  private[core] final case class RowBlock(idx: Array[Int], values: Array[Double], parts: Array[Int]) {
-    def nnz: Int = values.length
-    /** N; not defined for an empty block. */
-    def order: Int = idx.length / values.length
-    def isPart(i: Int): Boolean = java.util.Arrays.binarySearch(parts, i) >= 0
-    /** Copies entry `e`'s indices into `out` (length N). */
-    def indexInto(e: Int, out: Array[Int]): Unit = System.arraycopy(idx, e * out.length, out, 0, out.length)
-  }
-
-  private object RowBlock {
-    val Empty: RowBlock = RowBlock(Array.emptyIntArray, Array.emptyDoubleArray, Array.emptyIntArray)
-  }
-
-  /** The row-block layout, built without a shuffle: T partitions over all
-    * of `input`'s. Partition `b` holds an array of N [[RowBlock]]s, the
-    * `n`-th with the entries that `placement` sends to mode `n`'s block `b`
-    * (empty if there are none), so every entry is stored N times. Its task
-    * reads every input partition, in order, and keeps its own entries
-    * (checked by [[countRows]] before), then sorts each block
-    * ([[sortedBlock]]). A partition carries the input's partitions (as
-    * Spark's `CoalescedRDD` does), because an executor cannot compute
-    * `input.partitions` itself.
-    */
-  private final class BlockScan(input: RDD[InternalRow], dims: Array[Int], placement: Broadcast[Placement], T: Int)
-      extends RDD[Array[RowBlock]](input.sparkContext, Seq(new AllPartitions(input))) {
-    protected def getPartitions: Array[Partition] = {
-      val inputs = firstParent[InternalRow].partitions
-      Array.tabulate[Partition](T)(new ScanPartition(_, inputs))
-    }
-
-    def compute(split: Partition, ctx: TaskContext): Iterator[Array[RowBlock]] = {
-      val b = split.index
-      val place = placement.value
-      val order = dims.length
-      val idx = Array.fill(order)(new mutable.ArrayBuilder.ofInt)
-      val values = Array.fill(order)(new mutable.ArrayBuilder.ofDouble)
-      val e = new Array[Int](order)
-      split.asInstanceOf[ScanPartition].inputs.foreach { p =>
-        val rs = firstParent[InternalRow].iterator(p, ctx)
-        while (rs.hasNext) {
-          val v = decode(rs.next(), e)
-          var n = 0
-          while (n < order) {
-            if (place.blockOf(n, e) == b) { idx(n) ++= e; values(n) += v }
-            n += 1
-          }
-        }
-      }
-      Iterator.single(Array.tabulate(order)(n =>
-        sortedBlock(n, dims(n), order, idx(n).result(), values(n).result(), place.isSplit(n, _))))
-    }
-  }
-
-  private final class ScanPartition(val index: Int, val inputs: Array[Partition]) extends Partition
-
-  /** Each partition of a [[BlockScan]] depends on every partition of `rdd`. */
-  private final class AllPartitions(rdd: RDD[InternalRow]) extends NarrowDependency[InternalRow](rdd) {
-    def getParents(partitionId: Int): Seq[Int] = rdd.partitions.indices
-  }
-
-  /** Sorts one block's entries, given in input order (entry `e` has indices
-    * `idx(e·N until (e+1)·N)` and value `values(e)`), by the mode-`n` index
-    * (in `[0, dim)`), then the other indices. The sort is stable, so entries
-    * with the same indices keep their input order. The order of the
-    * entries, and with it every row's summation order, then does not
-    * depend, for a row that is not split, on T. The sort is a counting sort
-    * on the mode-`n` index, then a merge sort of each row's run. No entries
-    * give the empty block.
-    */
-  private[core] def sortedBlock(n: Int, dim: Int, order: Int, idx: Array[Int], values: Array[Double],
-                                isSplit: Int => Boolean): RowBlock = {
-    val m = values.length
-    if (m == 0) return RowBlock.Empty
-    val start = new Array[Int](dim + 1)
-    var e = 0
-    while (e < m) { start(idx(e * order + n) + 1) += 1; e += 1 }
-    var i = 0
-    while (i < dim) { start(i + 1) += start(i); i += 1 }
-    val perm = new Array[Int](m)
-    val next = java.util.Arrays.copyOf(start, dim)
-    e = 0
-    while (e < m) {
-      val r = idx(e * order + n)
-      perm(next(r)) = e
-      next(r) += 1
-      e += 1
-    }
-    val byOthers = (a: Int, b: Int) => {
-      var c = 0
-      var k = 0
-      while (c == 0 && k < order) {
-        if (k != n) c = Integer.compare(idx(a * order + k), idx(b * order + k))
-        k += 1
-      }
-      c
-    }
-    val tmp = new Array[Int](m)
-    i = 0
-    while (i < dim) {
-      if (start(i + 1) - start(i) > 1) mergeSort(perm, tmp, start(i), start(i + 1), byOthers)
-      i += 1
-    }
-    val sortedIdx = new Array[Int](m * order)
-    val sortedValues = new Array[Double](m)
-    val parts = new mutable.ArrayBuilder.ofInt
-    e = 0
-    while (e < m) {
-      System.arraycopy(idx, perm(e) * order, sortedIdx, e * order, order)
-      sortedValues(e) = values(perm(e))
-      val i = sortedIdx(e * order + n)
-      if ((e == 0 || sortedIdx((e - 1) * order + n) != i) && isSplit(i)) parts += i
-      e += 1
-    }
-    RowBlock(sortedIdx, sortedValues, parts.result())
-  }
-
-  /** Stable merge sort of `a(lo until hi)` by `cmp`, with `tmp` (as long as
-    * `a`) as the merge buffer.
-    */
-  private def mergeSort(a: Array[Int], tmp: Array[Int], lo: Int, hi: Int, cmp: (Int, Int) => Int): Unit =
-    if (hi - lo <= 16) {
-      var i = lo + 1
-      while (i < hi) {
-        val v = a(i)
-        var j = i - 1
-        while (j >= lo && cmp(a(j), v) > 0) { a(j + 1) = a(j); j -= 1 }
-        a(j + 1) = v
-        i += 1
-      }
-    } else {
-      val mid = (lo + hi) >>> 1
-      mergeSort(a, tmp, lo, mid, cmp)
-      mergeSort(a, tmp, mid, hi, cmp)
-      if (cmp(a(mid - 1), a(mid)) > 0) {
-        System.arraycopy(a, lo, tmp, lo, hi - lo)
-        var i = lo
-        var j = mid
-        var k = lo
-        while (k < hi) {
-          if (j >= hi || (i < mid && cmp(tmp(i), tmp(j)) <= 0)) { a(k) = tmp(i); i += 1 }
-          else { a(k) = tmp(j); j += 1 }
-          k += 1
-        }
-      }
-    }
 
   /** One block's share of a mode update (see [[solveBlock]]): the solved
     * rows (row-major) with the SSE over their entries, each part of a split
@@ -954,21 +612,6 @@ object PTucker {
       .mapValues(solveRow(_, jn, lambda))
     Jobs.run(rows, description, new Jobs.Collect[(Int, Array[Double])])
       .foreach(_.foreach { case (i, row) => updated.setRow(i, row) })
-  }
-
-  /** Persists and counts an RDD in a job described by `description`
-    * (unpersisting it again if the count fails). The local checkpoint
-    * truncates its lineage: a Pres table neither keeps the broadcasts of
-    * earlier tables alive nor grows an unbounded chain of patch closures
-    * across iterations, and a mode-update task over the row blocks does not
-    * deserialize the input's plan.
-    */
-  private def materialize[A](p: RDD[A], description: String): RDD[A] = {
-    p.persist(StorageLevel.MEMORY_AND_DISK)
-    p.localCheckpoint()
-    try Jobs.run(p, description, new Jobs.Count[A])
-    catch { case e: Throwable => p.unpersist(blocking = false); throw e }
-    p
   }
 
   /** Intermediate-data model of Table III, in doubles: what the algorithm

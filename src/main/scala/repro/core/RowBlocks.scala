@@ -1,0 +1,425 @@
+package repro.core
+
+import org.apache.spark.{NarrowDependency, Partition, SparkBridge, SparkException, TaskContext}
+import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.types.{DoubleType, IntegerType}
+import org.apache.spark.storage.StorageLevel
+import repro.tensor.{SparseTensor, TensorEntry}
+
+import scala.collection.mutable
+import scala.util.hashing.MurmurHash3
+
+/** A sparse tensor laid out in row blocks, opened by [[RowBlocks.open]]:
+  * `rdd` has T partitions, and partition `b` holds an array of N
+  * [[RowBlocks.RowBlock]]s, mode `n`'s block `b` at index `n`. `norm` is
+  * ‖X‖ over the observed entries. [[close]] releases the blocks and the
+  * row placement.
+  */
+private[repro] final class RowBlocks private (val rdd: RDD[Array[RowBlocks.RowBlock]],
+                                              placement: Broadcast[RowBlocks.Placement], val norm: Double) {
+  def close(): Unit = {
+    RowBlocks.release(rdd)
+    placement.destroy()
+  }
+}
+
+/** The one checked reader of a sparse tensor, and the row-block layout that
+  * P-Tucker and the HOOI competitors sweep (DESIGN.md §2). Every entry is
+  * checked on its first read: an index outside `[0, dims(k))`, a non-finite
+  * value, a null field or a column of the wrong type is an
+  * IllegalArgumentException that names it, before any other job runs.
+  */
+private[repro] object RowBlocks {
+
+  /** Reads `tensor` in two jobs tagged `<method>/i0/m0/open` and
+    * `…/materialize`: the first checks every entry and counts each mode's
+    * rows ([[countRows]]), the second builds the blocks without a shuffle
+    * ([[BlockScan]]), placed by [[Placement]] over T blocks per mode, and
+    * locally checkpoints them ([[materialize]]).
+    */
+  def open(tensor: SparseTensor, T: Int, method: String): RowBlocks = {
+    checkSchema(tensor)
+    val (counts, sumSq) = inputChecked(countRows(tensor, method))
+    val nnz = counts(0).sum
+    require(nnz > 0, "empty tensor")
+    val placement = tensor.df.sparkSession.sparkContext.broadcast(Placement(counts, nnz, T))
+    val rdd =
+      try materialize(new BlockScan(tensor.df.queryExecution.toRdd, tensor.dims, placement, T),
+        Jobs.tag(method, 0, 0, "materialize"))
+      catch { case e: Throwable => placement.destroy(); throw e }
+    new RowBlocks(rdd, placement, math.sqrt(sumSq))
+  }
+
+  /** Every entry of `tensor` on the driver, in input order, each checked by
+    * [[decodeChecked]], in one job tagged `<method>/i0/m0/open`.
+    */
+  def collectChecked(tensor: SparseTensor, method: String): Array[TensorEntry] = {
+    checkSchema(tensor)
+    inputChecked(Jobs.run(tensor.df.queryExecution.toRdd.mapPartitions(new CheckedEntries(tensor.dims)),
+      Jobs.tag(method, 0, 0, "open"), new Jobs.Collect[TensorEntry])).flatten
+  }
+
+  /** Rejects a tensor whose columns are not, by position, N `IntegerType`
+    * indices and then one `DoubleType` value: the readers take the columns
+    * by position, and an `InternalRow` does not check a column's type.
+    */
+  def checkSchema(tensor: SparseTensor): Unit = {
+    val fields = tensor.df.schema.fields
+    val order = tensor.order
+    require(fields.length == order + 1,
+      s"an order-$order tensor has ${order + 1} columns, $order IntegerType indices and a DoubleType value, " +
+        s"not ${fields.length}: ${fields.map(c => s"${c.name} ${c.dataType}").mkString(", ")}")
+    fields.zipWithIndex.foreach { case (c, k) =>
+      val want = if (k < order) IntegerType else DoubleType
+      require(c.dataType == want, s"column $k (${c.name}) has type ${c.dataType}, not $want")
+    }
+  }
+
+  /** Reads input row `r` into `idx` and returns its value, after
+    * [[checkEntry]]. A null field is rejected, naming the entry.
+    */
+  private def decodeChecked(dims: Array[Int], r: InternalRow, idx: Array[Int]): Double = {
+    val order = dims.length
+    var k = 0
+    while (k <= order) {
+      if (r.isNullAt(k)) {
+        val fields = (0 to order).map(m => if (r.isNullAt(m)) "null" else if (m < order) r.getInt(m).toString
+          else r.getDouble(m).toString)
+        throw new IllegalArgumentException(
+          s"entry (${fields.init.mkString(", ")}): ${if (k < order) s"mode $k index" else "value"} is null")
+      }
+      k += 1
+    }
+    val value = decode(r, idx)
+    checkEntry(dims, idx, value)
+    value
+  }
+
+  /** Reads input row `r`, checked before, into `idx` and returns its value. */
+  private def decode(r: InternalRow, idx: Array[Int]): Double = {
+    var k = 0
+    while (k < idx.length) { idx(k) = r.getInt(k); k += 1 }
+    r.getDouble(idx.length)
+  }
+
+  /** Rejects an entry with an index outside `[0, dims(k))` or a value that
+    * is not finite.
+    */
+  private def checkEntry(dims: Array[Int], idx: Array[Int], value: Double): Unit = {
+    var k = 0
+    while (k < dims.length) {
+      if (idx(k) < 0 || idx(k) >= dims(k))
+        throw new IllegalArgumentException(s"mode $k: index ${idx(k)} outside [0, ${dims(k)})")
+      k += 1
+    }
+    if (!value.isFinite)
+      throw new IllegalArgumentException(s"entry (${idx.mkString(", ")}): value $value is not finite")
+  }
+
+  /** Runs the job that first reads the input. A [[checkEntry]] failure in a
+    * task surfaces as an IllegalArgumentException, not as Spark's job failure.
+    */
+  def inputChecked[A](job: => A): A =
+    try job
+    catch {
+      case e: SparkException if e.getCause.isInstanceOf[IllegalArgumentException] =>
+        throw new IllegalArgumentException(e.getCause.getMessage, e)
+    }
+
+  /** One pass over the input: checks every entry and returns, per mode, the
+    * number of entries in each row, and `Σ x²`, summed in partition order.
+    */
+  private def countRows(tensor: SparseTensor, method: String): (Array[Array[Long]], Double) =
+    Jobs.run(tensor.df.queryExecution.toRdd, Jobs.tag(method, 0, 0, "open"), new CountRows(tensor.dims))
+      .foldLeft((tensor.dims.map(d => new Array[Long](d)), 0.0)) { case ((c1, s1), (c2, s2)) =>
+        c1.zip(c2).foreach { case (a, b) => var i = 0; while (i < a.length) { a(i) += b(i); i += 1 } }
+        (c1, s1 + s2)
+      }
+
+  /** One input partition's share of [[countRows]]. */
+  private final class CountRows(dims: Array[Int]) extends PartitionTask[InternalRow, (Array[Array[Long]], Double)] {
+    def apply(ctx: TaskContext, rs: Iterator[InternalRow]): (Array[Array[Long]], Double) = {
+      val order = dims.length
+      val counts = dims.map(d => new Array[Long](d))
+      val e = new Array[Int](order)
+      var sumSq = 0.0
+      while (rs.hasNext) {
+        val v = decodeChecked(dims, rs.next(), e)
+        var n = 0
+        while (n < order) { counts(n)(e(n)) += 1; n += 1 }
+        sumSq += v * v
+      }
+      (counts, sumSq)
+    }
+  }
+
+  /** Each input row as a [[TensorEntry]], after [[decodeChecked]]. A named
+    * class, so that building the RDD skips the closure cleaner.
+    */
+  final class CheckedEntries(dims: Array[Int]) extends (Iterator[InternalRow] => Iterator[TensorEntry]) with Serializable {
+    def apply(rs: Iterator[InternalRow]): Iterator[TensorEntry] = rs.map { r =>
+      val idx = new Array[Int](dims.length)
+      TensorEntry(idx, decodeChecked(dims, r, idx))
+    }
+  }
+
+  /** Which of its mode's T blocks each row's entries go to. `home(n)(i)` is
+    * row `i`'s block, or `-1 - s` for a row split into parts: part `q` goes
+    * to block `splits(n)(s)(q)`, and an entry to the part its index hashes to.
+    */
+  final case class Placement(home: Array[Array[Int]], splits: Array[Array[Array[Int]]]) {
+    def isSplit(n: Int, i: Int): Boolean = home(n)(i) < 0
+
+    /** The mode-`n` block of the entry with indices `idx`. */
+    def blockOf(n: Int, idx: Array[Int]): Int = {
+      val h = home(n)(idx(n))
+      if (h >= 0) h
+      else {
+        val parts = splits(n)(-1 - h)
+        parts(Math.floorMod(MurmurHash3.arrayHash(idx), parts.length))
+      }
+    }
+  }
+
+  object Placement {
+    /** Balances each mode's entries over T blocks, from its rows' entry
+      * counts. A row with more than `cap = ⌈|Ω|/2T⌉` entries is split into
+      * `min(⌈count/cap⌉, T)` parts of about equal size. Rows and parts then
+      * go, largest first, to the block with the fewest entries so far (ties
+      * to the lower block). So no block gets more than about
+      * `|Ω|/T + cap`, 1.5 times its share, however skewed the rows are; the
+      * hashing of a split row's entries to its parts adds a little to that.
+      */
+    def apply(counts: Array[Array[Long]], nnz: Long, T: Int): Placement = {
+      val cap = math.max(1L, (nnz + 2L * T - 1) / (2L * T))
+      val home = counts.map(c => new Array[Int](c.length))
+      val splits = Array.tabulate(counts.length) { n =>
+        val c = counts(n)
+        val rowsB = new mutable.ArrayBuilder.ofInt
+        var i = 0
+        while (i < c.length) { if (c(i) > 0) rowsB += i; i += 1 }
+        val rows = rowsB.result()
+        val parts = rows.map(i => math.min((c(i) + cap - 1) / cap, T.toLong).toInt)
+        val size = Array.tabulate(rows.length)(r => c(rows(r)) / parts(r))
+        // Largest first; the sort is stable, so equal sizes keep ascending rows.
+        val bySize = Array.range(0, rows.length)
+        mergeSort(bySize, new Array[Int](rows.length), 0, rows.length, (x, y) => java.lang.Long.compare(size(y), size(x)))
+        val loads = new Loads(T)
+        val split = mutable.ArrayBuffer.empty[Array[Int]]
+        bySize.foreach { r =>
+          val blocks = Array.fill(parts(r))(loads.take(size(r)))
+          home(n)(rows(r)) = if (blocks.length == 1) blocks(0) else { split += blocks; -split.length }
+        }
+        split.toArray
+      }
+      Placement(home, splits)
+    }
+  }
+
+  /** T blocks' loads, as a binary min-heap of the blocks on `(load, block)`. */
+  private final class Loads(T: Int) {
+    private val load = new Array[Long](T)
+    private val heap = Array.range(0, T) // all loads 0: ascending blocks are a heap
+    private def before(x: Int, y: Int): Boolean = load(x) < load(y) || (load(x) == load(y) && x < y)
+
+    /** The block with the least load (ties to the lower block), after adding
+      * `size` to its load.
+      */
+    def take(size: Long): Int = {
+      val b = heap(0)
+      load(b) += size
+      var k = 0
+      var done = false
+      while (!done && 2 * k + 1 < T) {
+        var c = 2 * k + 1
+        if (c + 1 < T && before(heap(c + 1), heap(c))) c += 1
+        if (before(heap(c), b)) { heap(k) = heap(c); k = c } else done = true
+      }
+      heap(k) = b
+      b
+    }
+  }
+
+  /** One block of one mode's entries, in columnar form: entry `e` has
+    * indices `idx(e·N until (e+1)·N)` and value `values(e)`. The entries are
+    * sorted by the mode's index, then the other indices in ascending mode
+    * order, so each row's entries form one run. `parts` lists, ascending,
+    * the rows whose run is one part of a split row.
+    */
+  final case class RowBlock(idx: Array[Int], values: Array[Double], parts: Array[Int]) {
+    def nnz: Int = values.length
+    /** N; not defined for an empty block. */
+    def order: Int = idx.length / values.length
+    def isPart(i: Int): Boolean = java.util.Arrays.binarySearch(parts, i) >= 0
+    /** Copies entry `e`'s indices into `out` (length N). */
+    def indexInto(e: Int, out: Array[Int]): Unit = System.arraycopy(idx, e * out.length, out, 0, out.length)
+    /** The end of the run that starts at entry `start` of this mode-`n` block. */
+    def runEnd(n: Int, start: Int): Int = {
+      val N = order
+      val i = idx(start * N + n)
+      var e = start + 1
+      while (e < nnz && idx(e * N + n) == i) e += 1
+      e
+    }
+  }
+
+  private object RowBlock {
+    val Empty: RowBlock = RowBlock(Array.emptyIntArray, Array.emptyDoubleArray, Array.emptyIntArray)
+  }
+
+  /** The row-block layout, built without a shuffle: T partitions over all
+    * of `input`'s. Partition `b` holds an array of N [[RowBlock]]s, the
+    * `n`-th with the entries that `placement` sends to mode `n`'s block `b`
+    * (empty if there are none), so every entry is stored N times. Its task
+    * reads every input partition, in order, and keeps its own entries
+    * (checked by [[countRows]] before), then sorts each block
+    * ([[sortedBlock]]). A partition carries the input's partitions (as
+    * Spark's `CoalescedRDD` does), because an executor cannot compute
+    * `input.partitions` itself.
+    */
+  private final class BlockScan(input: RDD[InternalRow], dims: Array[Int], placement: Broadcast[Placement], T: Int)
+      extends RDD[Array[RowBlock]](input.sparkContext, Seq(new AllPartitions(input))) {
+    protected def getPartitions: Array[Partition] = {
+      val inputs = firstParent[InternalRow].partitions
+      Array.tabulate[Partition](T)(new ScanPartition(_, inputs))
+    }
+
+    def compute(split: Partition, ctx: TaskContext): Iterator[Array[RowBlock]] = {
+      val b = split.index
+      val place = placement.value
+      val order = dims.length
+      val idx = Array.fill(order)(new mutable.ArrayBuilder.ofInt)
+      val values = Array.fill(order)(new mutable.ArrayBuilder.ofDouble)
+      val e = new Array[Int](order)
+      split.asInstanceOf[ScanPartition].inputs.foreach { p =>
+        val rs = firstParent[InternalRow].iterator(p, ctx)
+        while (rs.hasNext) {
+          val v = decode(rs.next(), e)
+          var n = 0
+          while (n < order) {
+            if (place.blockOf(n, e) == b) { idx(n) ++= e; values(n) += v }
+            n += 1
+          }
+        }
+      }
+      Iterator.single(Array.tabulate(order)(n =>
+        sortedBlock(n, dims(n), order, idx(n).result(), values(n).result(), place.isSplit(n, _))))
+    }
+  }
+
+  private final class ScanPartition(val index: Int, val inputs: Array[Partition]) extends Partition
+
+  /** Each partition of a [[BlockScan]] depends on every partition of `rdd`. */
+  private final class AllPartitions(rdd: RDD[InternalRow]) extends NarrowDependency[InternalRow](rdd) {
+    def getParents(partitionId: Int): Seq[Int] = rdd.partitions.indices
+  }
+
+  /** Sorts one block's entries, given in input order (entry `e` has indices
+    * `idx(e·N until (e+1)·N)` and value `values(e)`), by the mode-`n` index
+    * (in `[0, dim)`), then the other indices. The sort is stable, so entries
+    * with the same indices keep their input order. The order of the
+    * entries, and with it every row's summation order, then does not
+    * depend, for a row that is not split, on T. The sort is a counting sort
+    * on the mode-`n` index, then a merge sort of each row's run. No entries
+    * give the empty block.
+    */
+  def sortedBlock(n: Int, dim: Int, order: Int, idx: Array[Int], values: Array[Double],
+                  isSplit: Int => Boolean): RowBlock = {
+    val m = values.length
+    if (m == 0) return RowBlock.Empty
+    val start = new Array[Int](dim + 1)
+    var e = 0
+    while (e < m) { start(idx(e * order + n) + 1) += 1; e += 1 }
+    var i = 0
+    while (i < dim) { start(i + 1) += start(i); i += 1 }
+    val perm = new Array[Int](m)
+    val next = java.util.Arrays.copyOf(start, dim)
+    e = 0
+    while (e < m) {
+      val r = idx(e * order + n)
+      perm(next(r)) = e
+      next(r) += 1
+      e += 1
+    }
+    val byOthers = (a: Int, b: Int) => {
+      var c = 0
+      var k = 0
+      while (c == 0 && k < order) {
+        if (k != n) c = Integer.compare(idx(a * order + k), idx(b * order + k))
+        k += 1
+      }
+      c
+    }
+    val tmp = new Array[Int](m)
+    i = 0
+    while (i < dim) {
+      if (start(i + 1) - start(i) > 1) mergeSort(perm, tmp, start(i), start(i + 1), byOthers)
+      i += 1
+    }
+    val sortedIdx = new Array[Int](m * order)
+    val sortedValues = new Array[Double](m)
+    val parts = new mutable.ArrayBuilder.ofInt
+    e = 0
+    while (e < m) {
+      System.arraycopy(idx, perm(e) * order, sortedIdx, e * order, order)
+      sortedValues(e) = values(perm(e))
+      val i = sortedIdx(e * order + n)
+      if ((e == 0 || sortedIdx((e - 1) * order + n) != i) && isSplit(i)) parts += i
+      e += 1
+    }
+    RowBlock(sortedIdx, sortedValues, parts.result())
+  }
+
+  /** Stable merge sort of `a(lo until hi)` by `cmp`, with `tmp` (as long as
+    * `a`) as the merge buffer.
+    */
+  private def mergeSort(a: Array[Int], tmp: Array[Int], lo: Int, hi: Int, cmp: (Int, Int) => Int): Unit =
+    if (hi - lo <= 16) {
+      var i = lo + 1
+      while (i < hi) {
+        val v = a(i)
+        var j = i - 1
+        while (j >= lo && cmp(a(j), v) > 0) { a(j + 1) = a(j); j -= 1 }
+        a(j + 1) = v
+        i += 1
+      }
+    } else {
+      val mid = (lo + hi) >>> 1
+      mergeSort(a, tmp, lo, mid, cmp)
+      mergeSort(a, tmp, mid, hi, cmp)
+      if (cmp(a(mid - 1), a(mid)) > 0) {
+        System.arraycopy(a, lo, tmp, lo, hi - lo)
+        var i = lo
+        var j = mid
+        var k = lo
+        while (k < hi) {
+          if (j >= hi || (i < mid && cmp(tmp(i), tmp(j)) <= 0)) { a(k) = tmp(i); i += 1 }
+          else { a(k) = tmp(j); j += 1 }
+          k += 1
+        }
+      }
+    }
+
+  /** Persists and counts an RDD in a job described by `description`
+    * ([[release]]ing it again if the count fails). The local checkpoint
+    * truncates its lineage: a Pres table neither keeps the broadcasts of
+    * earlier tables alive nor grows an unbounded chain of patch closures
+    * across iterations, and a task over the row blocks does not deserialize
+    * the input's plan.
+    */
+  def materialize[A](p: RDD[A], description: String): RDD[A] = {
+    p.persist(StorageLevel.MEMORY_AND_DISK)
+    p.localCheckpoint()
+    try Jobs.run(p, description, new Jobs.Count[A])
+    catch { case e: Throwable => release(p); throw e }
+    p
+  }
+
+  /** Unpersists an RDD that [[materialize]] made, without blocking. Spark's
+    * `RDD.unpersist` logs a WARN for every locally checkpointed RDD, here
+    * one per fit or Pres table, so this calls the unpersist underneath it.
+    */
+  def release(p: RDD[_]): Unit = SparkBridge.unpersist(p)
+}

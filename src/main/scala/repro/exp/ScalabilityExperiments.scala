@@ -159,6 +159,9 @@ object ScalabilityExperiments {
       r.model.get.history.drop(1).map(_.millis).min.toDouble
     }
 
+    // A discarded first fit warms the JVM up, so that the base is not the
+    // only measurement that pays for it.
+    measure(nBase, iBase, nnzBase, jBase)
     val base = measure(nBase, iBase, nnzBase, jBase)
     val basePred = predicted(nBase, iBase, nnzBase, jBase)
     val variations = Seq(

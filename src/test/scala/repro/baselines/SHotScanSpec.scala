@@ -1,8 +1,12 @@
 package repro.baselines
 
+import org.apache.spark.BroadcastProbe
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
 import repro.{SparkSpec, TensorGen}
+import repro.core.RowBlocks
 import repro.linalg.DenseMatrix
-import repro.tensor.{DenseTensor, SparseTensor, TensorEntry}
+import repro.tensor.{DenseTensor, SparseTensor}
 
 /** S-HOT must compute the same math as dense HOOI (both are Algorithm 1 with
   * zeros for missing entries) — only the evaluation strategy differs.
@@ -38,24 +42,25 @@ class SHotScanSpec extends SparkSpec {
   }
 
   test("accumulateKron equals an explicit Kronecker product") {
-    val ranks = Array(2, 3, 2)
-    val factorRows: Array[Array[Double]] = Array(
-      null, Array(1.0, 2.0, 3.0), Array(4.0, 5.0))
-    val e = TensorEntry(Array(0, 0, 0), 2.0)
+    // mode 0 is the target, so its factor is not read
+    val f = Array((2, Array(9.0, 9.0)), (3, Array(0.0, 0.0, 0.0, 1.0, 2.0, 3.0)), (2, Array(4.0, 5.0)))
+    val idx = Array(7, 7, 0, 1, 0) // the entry (0, 1, 0) at offset 2
     val acc = new Array[Double](6)
-    HooiCommon.accumulateKron(acc, e, 0, factorRows)
+    HooiCommon.accumulateKron(acc, idx, 2, 2.0, 0, f)
     // layout: first non-target mode fastest → index = j1 + 3*j2
     for (j1 <- 0 until 3; j2 <- 0 until 2) {
-      val want = 2.0 * factorRows(1)(j1) * factorRows(2)(j2)
+      val want = 2.0 * f(1)._2(3 + j1) * f(2)._2(j2)
       assert(math.abs(acc(j1 + 3 * j2) - want) < 1e-12)
     }
-    val _ = ranks
   }
 
-  test("coreFromEntries equals the literal definition") {
+  test("the core job equals the literal definition") {
     val t = TensorGen.uniform(spark, Array(5, 4, 3), 30, seed = 3)
     val factors = Array.tabulate(3)(n => DenseMatrix.rand(t.dims(n), 2, 40 + n))
-    val core = HooiCommon.coreFromEntries(spark, t.entriesRdd(2), factors, Array(2, 2, 2))
+    val blocks = RowBlocks.open(t, 2, "test")
+    val core =
+      try HooiCommon.coreOf(blocks.rdd, 1, factors, Array(2, 2, 2))
+      finally blocks.close()
     val entries = t.collectEntries()
     core.entries.foreach { cell =>
       val want = entries.map { case (idx, x) =>
@@ -63,6 +68,40 @@ class SHotScanSpec extends SparkSpec {
       }.sum
       assert(math.abs(cell.value - want) < 1e-10)
     }
+  }
+
+  /** Rows 0-2 of mode 0 hold most of the entries, so at T = 4 they are
+    * split over several blocks.
+    */
+  private def hotRowTensor(): SparseTensor = {
+    val rng = new scala.util.Random(21)
+    val entries = (0 until 600).map { k =>
+      val i0 = if (k % 5 != 0) rng.nextInt(3) else 3 + rng.nextInt(9)
+      (Array(i0, rng.nextInt(20), rng.nextInt(20)), rng.nextDouble())
+    }.distinctBy(_._1.toSeq)
+    SparseTensor.fromEntries(spark, Array(12, 20, 20), entries)
+  }
+
+  test("S-HOT and CSF agree with dense HOOI and each other at T = 1 and T = 4, also on split rows") {
+    val t = hotRowTensor().persisted()
+    val ranks = Array(2, 2, 2)
+    val split = RowBlocks.open(t, 4, "test")
+    try assert(split.rdd.map(_(0).parts.length).collect().sum > 0, "no mode-0 row is split at T = 4")
+    finally split.close()
+    val dense = DenseTensor.fromEntries(t.dims, t.collectEntries().toIndexedSeq)
+    val hooi = TuckerHooi.fitDense(dense, ranks, maxIters = 4, seed = 17)
+    val models = for (p <- Seq(1, 4); (name, fit) <- Seq("S-HOT" -> SHotScan.fit _, "CSF" -> TuckerCsf.fit _))
+      yield s"$name, T=$p" -> fit(spark, t, ranks, 4, p, 17)
+    for ((name, m) <- models) {
+      for (n <- 0 until 3) {
+        val d = subspaceDistance(hooi.factors(n), m.factors(n))
+        assert(d < 1e-6, s"$name: mode-$n subspace distance $d to HOOI")
+        val e = subspaceDistance(models.head._2.factors(n), m.factors(n))
+        assert(e < 1e-6, s"$name: mode-$n subspace distance $e to ${models.head._1}")
+      }
+      assert(m.core.toDense.maxAbsDiff(TuckerHooi.coreOf(dense, m.factors)) < 1e-8, s"$name: core")
+    }
+    t.unpersist()
   }
 
   test("a failing S-HOT or CSF fit leaves no RDD persisted") {
@@ -73,10 +112,16 @@ class SHotScanSpec extends SparkSpec {
       "CSF" -> (() => TuckerCsf.fit(spark, tensor, Array(3, 1, 1), maxIters = 1, partitions = 2)))
     for ((name, fit) <- fits) {
       val before = sc.getPersistentRDDs.keySet
-      // mode 0: rank 3 > L = J_1·J_2 = 1 fails factorFromRows' check
+      val broadcasts = BroadcastProbe.liveIds(sc)
+      // mode 0: rank 3 > L = J_1·J_2 = 1 fails the mode update's check,
+      // after the row blocks are built
       intercept[IllegalArgumentException] { fit() }
       val leaked = sc.getPersistentRDDs.keySet -- before
       assert(leaked.isEmpty, s"$name left RDDs ${leaked.mkString(", ")} persisted")
+      eventually(timeout(10.seconds), interval(50.millis)) {
+        val live = BroadcastProbe.liveIds(sc) -- broadcasts
+        assert(live.isEmpty, s"$name left broadcasts ${live.mkString(", ")}")
+      }
     }
   }
 }

@@ -210,7 +210,7 @@ class PTuckerRuleSpec extends AnyFunSuite {
     // few distinct other indices, so runs are long (merge path) and hold duplicates
     val es = Array.fill(300)((Array(rnd.nextInt(dim), rnd.nextInt(3), rnd.nextInt(4)), rnd.nextDouble()))
     for (n <- 0 until order) {
-      val blk = PTucker.sortedBlock(n, dim, order, es.flatMap(_._1), es.map(_._2), _ == 2)
+      val blk = RowBlocks.sortedBlock(n, dim, order, es.flatMap(_._1), es.map(_._2), _ == 2)
       val key: ((Array[Int], Double)) => Seq[Int] = e => e._1(n) +: (0 until order).filter(_ != n).map(e._1)
       val want = es.sortBy(key)(Ordering.Implicits.seqOrdering) // stable
       assert(blk.values.toSeq == want.map(_._2).toSeq, s"mode $n")
@@ -223,18 +223,20 @@ class PTuckerRuleSpec extends AnyFunSuite {
     // The cleaner parses the declaring class file of a synthetic class (an
     // indy lambda) or of a `$anonfun$` class on every job. A lambda passed
     // where a PartitionTask is expected compiles to a `$anonfun$` class in
-    // this package, which this scan finds.
+    // its package, which this scan finds.
     val base = classOf[PartitionTask[_, _]]
     val root = Paths.get(base.getProtectionDomain.getCodeSource.getLocation.toURI)
     assert(Files.isDirectory(root), s"$root: the scan reads compiled classes from a directory")
-    val files = Files.list(root.resolve("repro/core"))
-    val tasks =
+    val tasks = Seq("repro.core", "repro.baselines").flatMap { pkg =>
+      val files = Files.list(root.resolve(pkg.replace('.', '/')))
       try files.iterator.asScala.map(_.getFileName.toString).filter(_.endsWith(".class"))
-        .map(f => Class.forName("repro.core." + f.stripSuffix(".class"), false, base.getClassLoader))
-        .filter(c => c != base && base.isAssignableFrom(c)).map(_.getName).toSet
+        .map(f => Class.forName(pkg + "." + f.stripSuffix(".class"), false, base.getClassLoader))
+        .filter(c => c != base && base.isAssignableFrom(c)).map(_.getName).toList
       finally files.close()
-    val used = Set("Jobs$Count", "Jobs$Collect", "PTucker$CountRows", "PTucker$CountSquares",
-      "PTucker$SolveBlocks").map("repro.core." + _)
+    }.toSet
+    val used = Set("core.Jobs$Count", "core.Jobs$Collect", "core.RowBlocks$CountRows", "core.PTucker$CountSquares",
+      "core.PTucker$SolveBlocks", "baselines.HooiCommon$Scan",
+      "baselines.HooiCommon$CoreSums").map("repro." + _)
     assert(tasks == used, s"found ${tasks.mkString(", ")}")
     tasks.foreach { name =>
       val c = Class.forName(name, false, base.getClassLoader)

@@ -1,6 +1,11 @@
 package repro.core
 
+import org.apache.logging.log4j.Level
+import org.apache.logging.log4j.core.{LogEvent, LoggerContext}
+import org.apache.logging.log4j.core.appender.AbstractAppender
+import org.apache.logging.log4j.core.config.Property
 import org.apache.spark.{BroadcastProbe, ListenerProbe}
+import org.apache.spark.rdd.RDD
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageCompleted}
 import org.apache.spark.serializer.JavaSerializer
 import org.apache.spark.sql.Row
@@ -8,6 +13,7 @@ import org.apache.spark.sql.types.{FloatType, LongType, StructField, StructType}
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.SpanSugar._
 import repro.{SparkSpec, TensorGen}
+import repro.baselines.{SHotScan, TuckerCsf, TuckerWopt}
 import repro.linalg.DenseMatrix
 import repro.tensor.SparseTensor
 
@@ -149,7 +155,7 @@ class PTuckerSpec extends SparkSpec {
 
   test("the row blocks equal a driver-side build from the collected entries") {
     // each block's entries as (indices, values, split-row parts)
-    def contents(blocks: Array[Array[PTucker.RowBlock]]) =
+    def contents(blocks: Array[Array[RowBlocks.RowBlock]]) =
       blocks.toSeq.map(_.toSeq.map(b => (b.idx.toSeq, b.values.toSeq, b.parts.toSeq)))
     val hot = hotRowTensor()
     val hotRows = hot.collectEntries().toSeq.map { case (idx, v) => Row.fromSeq(idx.toSeq :+ v) }
@@ -161,10 +167,10 @@ class PTuckerSpec extends SparkSpec {
       val entries = t.collectEntries()
       val counts = t.dims.map { d => new Array[Long](d) }
       entries.foreach { case (idx, _) => idx.indices.foreach(n => counts(n)(idx(n)) += 1) }
-      val place = PTucker.Placement(counts, entries.length.toLong, p)
+      val place = RowBlocks.Placement(counts, entries.length.toLong, p)
       val want = Array.tabulate(p, t.order) { (b, n) =>
         val mine = entries.filter { case (idx, _) => place.blockOf(n, idx) == b }
-        PTucker.sortedBlock(n, t.dims(n), t.order, mine.flatMap(_._1), mine.map(_._2), place.isSplit(n, _))
+        RowBlocks.sortedBlock(n, t.dims(n), t.order, mine.flatMap(_._1), mine.map(_._2), place.isSplit(n, _))
       }
       if (p >= 4) assert(want.exists(_.exists(_.parts.nonEmpty)), s"$name, T=$p: no split row")
       val layout = new PTucker.BlockLayout(spark, t, p, baseConfig.copy(partitions = p))
@@ -307,48 +313,47 @@ class PTuckerSpec extends SparkSpec {
 
   private val variants = Seq(PTuckerVariant.Default, PTuckerVariant.Cache, PTuckerVariant.Approx)
 
-  /** Fits a 4×9×3 tensor holding one valid entry and `bad` with every
-    * variant; each fit must throw an IllegalArgumentException whose message
-    * contains `want`, and leave no RDD persisted.
+  /** Every method that reads its input through the checked reader, with
+    * ranks (1, 1, 1) and T = 2.
     */
-  private def assertRejected(bad: (Array[Int], Double), want: String): Unit = {
-    val t = SparseTensor.fromEntries(spark, Array(4, 9, 3), Seq((Array(0, 0, 0), 1.0), bad))
-    val sc = spark.sparkContext
-    for (v <- variants) {
-      val before = sc.getPersistentRDDs.keySet
-      val e = intercept[IllegalArgumentException] {
-        PTucker.fit(spark, t, PTuckerConfig(ranks = Array(1, 1, 1), partitions = 2, variant = v))
-      }
-      assert(e.getMessage.contains(want), s"$v: ${e.getMessage}")
-      assert((sc.getPersistentRDDs.keySet -- before).isEmpty, s"$v left RDDs persisted")
-    }
-  }
+  private val checkedFits: Seq[(String, SparseTensor => Any)] =
+    variants.map(v => v.toString -> ((t: SparseTensor) =>
+      PTucker.fit(spark, t, PTuckerConfig(ranks = Array(1, 1, 1), partitions = 2, variant = v)))) ++ Seq(
+      "S-HOT" -> ((t: SparseTensor) => SHotScan.fit(spark, t, Array(1, 1, 1), maxIters = 1, partitions = 2)),
+      "CSF" -> ((t: SparseTensor) => TuckerCsf.fit(spark, t, Array(1, 1, 1), maxIters = 1, partitions = 2)),
+      "wOPT" -> ((t: SparseTensor) => TuckerWopt.fit(spark, t, Array(1, 1, 1), maxIters = 1)))
+
+  /** Fits a 4×9×3 tensor holding one valid entry and `bad`, as
+    * [[assertRejectedInput]] does.
+    */
+  private def assertRejected(bad: (Array[Int], Double), want: String): Unit =
+    assertRejectedInput(SparseTensor.fromEntries(spark, Array(4, 9, 3), Seq((Array(0, 0, 0), 1.0), bad)), want)
 
   test("input validation: an index outside [0, dim) is rejected, naming mode, index and dim") {
     assertRejected((Array(1, 9, 2), 2.0), "mode 1: index 9 outside [0, 9)")
     assertRejected((Array(1, 2, -1), 2.0), "mode 2: index -1 outside [0, 3)")
+    assertRejected((Array(4, 2, 1), 2.0), "mode 0: index 4 outside [0, 4)")
   }
 
   test("input validation: a non-finite value is rejected, naming the entry") {
     assertRejected((Array(1, 2, 0), Double.NaN), "entry (1, 2, 0): value NaN is not finite")
     assertRejected((Array(3, 8, 2), Double.NegativeInfinity), "entry (3, 8, 2): value -Infinity is not finite")
+    assertRejected((Array(2, 5, 1), Double.PositiveInfinity), "entry (2, 5, 1): value Infinity is not finite")
   }
 
-  /** Fits `t` with each of `vs`; each fit must throw an
-    * IllegalArgumentException whose message contains `want`, and leave no RDD
-    * persisted and no broadcast alive.
+  /** Fits `t` with each of [[checkedFits]]; each fit must throw an
+    * IllegalArgumentException whose message contains `want`, and leave no
+    * RDD persisted and no broadcast alive.
     */
-  private def assertRejectedInput(t: SparseTensor, want: String, vs: Seq[PTuckerVariant] = variants): Unit = {
+  private def assertRejectedInput(t: SparseTensor, want: String): Unit = {
     val sc = spark.sparkContext
-    for (v <- vs) {
+    for ((name, fit) <- checkedFits) {
       val before = sc.getPersistentRDDs.keySet
       val broadcasts = BroadcastProbe.liveIds(sc)
-      val e = intercept[IllegalArgumentException] {
-        PTucker.fit(spark, t, PTuckerConfig(ranks = Array(1, 1, 1), partitions = 2, variant = v))
-      }
-      assert(e.getMessage.contains(want), s"$v: ${e.getMessage}")
-      assert((sc.getPersistentRDDs.keySet -- before).isEmpty, s"$v left RDDs persisted")
-      assertNoNewBroadcast(broadcasts, v.toString)
+      val e = intercept[IllegalArgumentException](fit(t))
+      assert(e.getMessage.contains(want), s"$name: ${e.getMessage}")
+      assert((sc.getPersistentRDDs.keySet -- before).isEmpty, s"$name left RDDs persisted")
+      assertNoNewBroadcast(broadcasts, name)
     }
   }
 
@@ -367,7 +372,7 @@ class PTuckerSpec extends SparkSpec {
   }
 
   test("input validation: a null field is rejected, naming the entry") {
-    // Every variant reads the input as InternalRows, which read a null int as 0.
+    // Every method reads the input as InternalRows, which read a null int as 0.
     val nullable = StructType(SparseTensor.schema(3).fields.map(_.copy(nullable = true)))
     assertRejectedInput(tensorOf(nullable, Row(0, 0, 0, 1.0), Row(1, 2, 0, null)), "entry (1, 2, 0): value is null")
     assertRejectedInput(tensorOf(nullable, Row(0, 0, 0, 1.0), Row(1, null, 0, 2.0)),
@@ -454,6 +459,65 @@ class PTuckerSpec extends SparkSpec {
       }
       assert(sc.getLocalProperty("spark.job.description") == "caller", "after a failed fit")
     } finally sc.setJobDescription(null)
+  }
+
+  test("an S-HOT fit runs 3 + 2N·iters jobs tagged hooi/i<k>/m<n>/<phase>, none of which shuffles") {
+    val iters = 2
+    val want = Seq("hooi/i0/m0/open", "hooi/i0/m0/materialize") ++
+      (1 to iters).flatMap(k => (0 until 3).flatMap(n => Seq(s"hooi/i$k/m$n/gram", s"hooi/i$k/m$n/project"))) :+
+      s"hooi/i$iters/m0/core"
+    planted.nnz // the input's own cache is built outside the listened jobs
+    val (got, stages) = fitJobs(SHotScan.fit(spark, planted, Array(2, 2, 2), maxIters = iters, partitions = 4))
+    assert(got == want)
+    assert(want.size == 3 + 2 * 3 * iters)
+    assert(stages.size == want.size, s"${stages.size} stages")
+    assert(stages.forall(_ == ((0L, 0L))), s"shuffle bytes and records written ${stages.mkString(", ")}")
+  }
+
+  /** The WARN (or worse) events that loggers named after an RDD class log
+    * while `body` runs, as `logger: message`.
+    */
+  private def rddWarnings(body: => Any): Seq[String] = {
+    def isRdd(name: String) =
+      try classOf[RDD[_]].isAssignableFrom(Class.forName(name, false, getClass.getClassLoader))
+      catch { case _: ClassNotFoundException => false }
+    val events = mutable.ArrayBuffer.empty[String]
+    val capture = new AbstractAppender("rddWarnings", null, null, true, Property.EMPTY_ARRAY) {
+      def append(e: LogEvent): Unit =
+        if (e.getLevel.isMoreSpecificThan(Level.WARN) && isRdd(e.getLoggerName))
+          events.synchronized(events += s"${e.getLoggerName}: ${e.getMessage.getFormattedMessage}")
+    }
+    val ctx = LoggerContext.getContext(false)
+    val root = ctx.getConfiguration.getRootLogger
+    capture.start()
+    root.addAppender(capture, Level.WARN, null)
+    ctx.updateLoggers()
+    try body
+    finally {
+      root.removeAppender(capture.getName)
+      ctx.updateLoggers()
+      capture.stop()
+    }
+    events.synchronized(events.toList)
+  }
+
+  test("a Default fit and an S-HOT fit log no WARN from their RDDs") {
+    val sc = spark.sparkContext
+    // The capture sees the WARN that RDD.unpersist logs for a locally checkpointed RDD.
+    val control = rddWarnings {
+      val r = sc.parallelize(1 to 4, 2).persist()
+      r.localCheckpoint()
+      r.count()
+      r.unpersist()
+    }
+    assert(control.exists(_.contains("locally checkpointed")), control.mkString("; "))
+    val fits = Seq[(String, () => Any)](
+      "Default" -> (() => PTucker.fit(spark, planted, baseConfig.copy(maxIters = 2))),
+      "S-HOT" -> (() => SHotScan.fit(spark, planted, Array(2, 2, 2), maxIters = 2, partitions = 4)))
+    for ((name, fit) <- fits) {
+      val warnings = rddWarnings(fit())
+      assert(warnings.isEmpty, s"$name: ${warnings.mkString("; ")}")
+    }
   }
 
   test("two same-seed fits at T = 4 are bit-identical, for Default and Approx") {
@@ -619,7 +683,7 @@ class PTuckerSpec extends SparkSpec {
       c
     }.toArray
     for (p <- Seq(2, 4, 16)) {
-      val got = PTucker.Placement(counts, entries.length.toLong, p)
+      val got = RowBlocks.Placement(counts, entries.length.toLong, p)
       val want = referencePlacement(counts, entries.length.toLong, p)
       assert(got.home.indices.map(n => (got.home(n).toSeq, got.splits(n).toSeq.map(_.toSeq))) == want, s"T=$p")
       assert(want.exists(_._2.nonEmpty), s"T=$p: the tensor splits no row")
