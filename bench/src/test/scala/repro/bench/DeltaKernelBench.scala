@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{CoreTree, TuckerKernels}
+import repro.core.{CellList, CoreTree, TuckerKernels}
 import repro.exp.Harness
 import repro.linalg.DenseMatrix
 import repro.tensor.CoreTensor
@@ -60,8 +60,7 @@ class DeltaKernelBench extends AnyFunSuite {
         for (l <- 0 until L) {
           val entry = from + math.min(l, count - 1) // the lanes past the end repeat the last entry
           val e = idx.slice(entry * order, (entry + 1) * order)
-          val want = new Array[Double](j)
-          cellList.foreach { case (cell, g) => want(cell(n)) += TuckerKernels.cellProduct(e, cell, g, n, f) }
+          val want = CellList.delta(e, n, f, cellList)
           for (c <- 0 until j) {
             val got = out(c)(l)
             assert(math.abs(got - want(c)) <= 1e-9 * math.max(1.0, math.abs(want(c))),

@@ -4,9 +4,9 @@ import org.apache.spark.TaskContext
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
-import repro.core.{IterStat, Jobs, PartitionTask, RowBlocks, TuckerKernels, TuckerModel}
+import repro.core.{CoreTree, IterStat, Jobs, PartitionTask, RowBlocks, TuckerKernels, TuckerModel}
 import repro.core.RowBlocks.RowBlock
-import repro.core.TuckerKernels.FactorData
+import repro.core.TuckerKernels.{FactorData, ModelData}
 import repro.linalg.DenseMatrix
 import repro.tensor.{CoreEntry, CoreTensor, DenseTensor, SparseTensor}
 
@@ -159,41 +159,40 @@ object HooiCommon {
 
   /** `G(β) = Σ_{α∈Ω} x_α ∏_k a^(k)_{i_k β_k}`, the final core, from one job
     * over mode 0's blocks (zero-filled semantics: missing entries contribute
-    * nothing), summed in partition order.
+    * nothing), summed in partition order. The products come from the tree
+    * of the full `ranks` grid with unit leaves ([[CoreTree.products]]):
+    * `nodes(G)` multiplies per entry.
     */
   private[baselines] def coreOf(blocks: RDD[Array[RowBlock]], iter: Int, factors: Array[DenseMatrix],
                                 ranks: Array[Int]): CoreTensor = {
-    val cells = DenseTensor.indices(ranks).toArray
-    val bF = blocks.sparkContext.broadcast(TuckerKernels.factorData(factors))
+    val grid = new CoreTensor(ranks.clone(), DenseTensor.indices(ranks).map(CoreEntry(_, 1.0)).toArray)
+    val bM = blocks.sparkContext.broadcast(ModelData(TuckerKernels.factorData(factors), CoreTree(grid)))
     val g =
-      try Jobs.run(blocks, Jobs.tag(Method, iter, 0, "core"), new CoreSums(cells, bF))
-        .foldLeft(new Array[Double](cells.length))((acc, part) => addInto(acc, part, 0))
-      finally bF.destroy()
-    new CoreTensor(ranks.clone(), cells.zip(g).map { case (idx, v) => CoreEntry(idx, v) })
+      try Jobs.run(blocks, Jobs.tag(Method, iter, 0, "core"), new CoreSums(bM))
+        .foldLeft(new Array[Double](grid.nnz))((acc, part) => addInto(acc, part, 0))
+      finally bM.destroy()
+    grid.withValues(g)
   }
 
-  /** A mode-0 block's share of [[coreOf]]: each entry walks every core cell
-    * (`N·|G|` multiplies per entry; |G| is small for every bench that runs
-    * this path).
+  /** A mode-0 block's share of [[coreOf]]: `acc += x·p` with each entry's
+    * products `p` over the grid's tree.
     */
-  private final class CoreSums(cells: Array[Array[Int]], bF: Broadcast[FactorData])
-      extends PartitionTask[Array[RowBlock], Array[Double]] {
+  private final class CoreSums(bM: Broadcast[ModelData]) extends PartitionTask[Array[RowBlock], Array[Double]] {
     def apply(ctx: TaskContext, it: Iterator[Array[RowBlock]]): Array[Double] = {
       val b = it.next()(0)
-      val acc = new Array[Double](cells.length)
-      if (b.nnz > 0) {
-        val f = bF.value
-        val idx = new Array[Int](b.order)
-        var e = 0
-        while (e < b.nnz) {
-          b.indexInto(e, idx)
-          var c = 0
-          while (c < cells.length) {
-            acc(c) += TuckerKernels.cellProduct(idx, cells(c), b.values(e), TuckerKernels.NoSkip, f)
-            c += 1
-          }
-          e += 1
-        }
+      val ModelData(f, tree, _) = bM.value
+      val acc = new Array[Double](tree.nnz)
+      val p = new Array[Double](tree.nnz)
+      val s = tree.scratch()
+      val idx = new Array[Int](tree.order)
+      var e = 0
+      while (e < b.nnz) {
+        b.indexInto(e, idx)
+        tree.products(idx, f, s, p)
+        val x = b.values(e)
+        var c = 0
+        while (c < p.length) { acc(c) += x * p(c); c += 1 }
+        e += 1
       }
       acc
     }

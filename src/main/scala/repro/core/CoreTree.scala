@@ -94,6 +94,16 @@ final class CoreTree private (val order: Int, dims: Array[Int], ids: Array[Array
     }
   }
 
+  /** Eq. (13) for one entry with indices `idx`: its `δ^(n)`, from a
+    * [[deltas]] call that holds it alone, with a scratch of its own. For
+    * rare calls; a task contracts its entries in chunks instead.
+    */
+  def delta(idx: Array[Int], n: Int, f: FactorData): Array[Double] = {
+    val out = Array.fill(dims(n))(new Array[Double](Lanes))
+    deltas(idx, 0, 1, n, f, laneScratch(), out)
+    out.map(_(0))
+  }
+
   /** Copies, for every mode but `n`, the factor rows of the chunk's entries
     * into `rows(k)`, lane-major: `rows(k)(j)(l) = a^(k)_{i_k j}` of lane
     * `l`'s entry.

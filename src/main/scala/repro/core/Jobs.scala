@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.{SparkContext, TaskContext}
+import org.apache.spark.TaskContext
 import org.apache.spark.rdd.RDD
 
 import scala.reflect.ClassTag
@@ -17,30 +17,27 @@ private[repro] object Jobs {
   val DescriptionKey = "spark.job.description"
 
   /** A fit job's description: `<method>/i<iter>/m<mode>/<phase>`, where
-    * `method` is `ptucker`, `hooi` or `wopt`. The set-up jobs before the
+    * `method` is `ptucker`, `hooi` or `wopt` (`model` for an evaluation of
+    * a returned model, `model/i0/m0/error`). The set-up jobs before the
     * first iteration carry `i0/m0`; an iteration's jobs carry its number
     * (from 1) and the mode whose entries they read.
     */
   def tag(method: String, iter: Int, mode: Int, phase: String): String = s"$method/i$iter/m$mode/$phase"
 
-  /** Runs `body` with the job description `description`, then restores the
-    * caller's description, also when `body` throws.
-    */
-  def described[A](sc: SparkContext, description: String)(body: => A): A = {
-    val caller = sc.getLocalProperty(DescriptionKey)
-    sc.setLocalProperty(DescriptionKey, description)
-    try body
-    finally sc.setLocalProperty(DescriptionKey, caller)
-  }
-
   /** Runs `task` on every partition of `rdd` in one job described by
-    * `description`, and returns the results in partition order.
+    * `description`, and returns the results in partition order. The
+    * caller's description is restored afterwards, also when the job fails.
     * `task` is a named class because Spark's ClosureCleaner returns at once
     * for one, but reads and parses a lambda's declaring class file on every
     * job (DESIGN.md §2, "Job submission").
     */
-  def run[T, R: ClassTag](rdd: RDD[T], description: String, task: PartitionTask[T, R]): Array[R] =
-    described(rdd.sparkContext, description)(rdd.sparkContext.runJob(rdd, task))
+  def run[T, R: ClassTag](rdd: RDD[T], description: String, task: PartitionTask[T, R]): Array[R] = {
+    val sc = rdd.sparkContext
+    val caller = sc.getLocalProperty(DescriptionKey)
+    sc.setLocalProperty(DescriptionKey, description)
+    try sc.runJob(rdd, task)
+    finally sc.setLocalProperty(DescriptionKey, caller)
+  }
 
   /** The number of elements in a partition; run for its side effect of
     * computing, and so persisting, the partition.

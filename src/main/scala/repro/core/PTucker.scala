@@ -63,13 +63,7 @@ object PTucker {
 
   import CoreTree.TopSplit
   import RowBlocks.{CheckedEntries, RowBlock, checkSchema, inputChecked, materialize, release}
-  import TuckerKernels.{CoreCells, FactorData, NoSkip, cellProduct, coreCells, factorData}
-
-  /** What a task needs of the model: the factors, the core's tree and, for
-    * R(β) in Approx's last mode update, the core's [[CoreTree.TopSplit]].
-    * Built once on the driver and shipped in one broadcast.
-    */
-  private[core] final case class ModelData(f: FactorData, tree: CoreTree, split: Option[TopSplit])
+  import TuckerKernels.{CoreCells, FactorData, ModelData, coreCells, factorData}
 
   /** The method name in this fit's job tags ([[Jobs.tag]]). */
   private val Method = "ptucker"
@@ -215,7 +209,7 @@ object PTucker {
   /** Cache: the entries and their Pres rows (Algorithm 3). Pres is aligned
     * with the entries, so a mode update sums each row's `(B | c)` by
     * `combineByKey` on `i_n` ([[solveFromPres]]), and Eq. (6) is a separate
-    * pass over the entries (`TuckerKernels.sumSquaredError`, the reference).
+    * pass over the entries ([[TuckerKernels.squaredErrors]]).
     */
   private final class PresLayout(spark: SparkSession, tensor: SparseTensor, T: Int,
                                  config: PTuckerConfig) extends Layout {
@@ -238,8 +232,9 @@ object PTucker {
       checkSchema(tensor)
       entries = tensor.df.queryExecution.toRdd.mapPartitions(new CheckedEntries(tensor.dims)).repartition(T)
         .persist(StorageLevel.MEMORY_AND_DISK)
-      val (nnz, sumSq) = inputChecked(Jobs.run(entries, Jobs.tag(Method, 0, 0, "open"), new CountSquares))
-        .foldLeft((0L, 0.0)) { case ((n1, s1), (n2, s2)) => (n1 + n2, s1 + s2) }
+      // ‖X‖² is the squared error of the zero model, a core with no cells.
+      val (nnz, sumSq) = inputChecked(TuckerKernels.squaredErrors(entries, Jobs.tag(Method, 0, 0, "open"), factors,
+        new CoreTensor(config.ranks, Array.empty)))
       require(nnz > 0, "empty tensor")
       // Algorithm 3 lines 1-4: precompute the Pres cache table.
       val bM = broadcast(modelData(factors, core))
@@ -255,25 +250,25 @@ object PTucker {
     def updateMode(iter: Int, n: Int, factors: Array[DenseMatrix], core: CoreTensor, rBeta: Boolean): ModeStats = {
       require(!rBeta, "P-Tucker-Cache computes no R(β)")
       val jn = config.ranks(n)
-      val bF = broadcast(factorData(factors))
+      val bM = broadcast(modelData(factors, core))
       val bC = broadcast(coreCells(core))
       val updated = DenseMatrix.zeros(tensor.dims(n), jn)
       rowSolve(config.variant, iter, n) {
-        solveFromPres(pres, Jobs.tag(Method, iter, n, "mode_update"), n, jn, config.lambda, bF, bC, updated)
+        solveFromPres(pres, Jobs.tag(Method, iter, n, "mode_update"), n, jn, config.lambda, bM, bC, updated)
       }
       factors(n) = updated
       // Algorithm 3 lines 16-19: patch Pres multiplicatively for mode n.
-      // bF still holds the old factors and bC the core.
+      // bM still holds the old factors and the core's tree, bC the core.
       val bNew = broadcast(factorData(factors))
       val old = pres
       pres = materialize(old.map { case (e, p) =>
-        (e, patchPres(e.idx, p, n, bF.value(n), bC.value, bNew.value))
+        (e, patchPres(e.idx, p, n, bM.value.f(n), bC.value, bNew.value, bM.value.tree))
       }, Jobs.tag(Method, iter, n, "materialize"))
       release(old)
-      Seq(bF, bC, bNew).foreach(_.unpersist())
+      Seq(bM, bC, bNew).foreach(_.unpersist())
       val sse =
         if (n == tensor.order - 1)
-          Jobs.described(sc, Jobs.tag(Method, iter, n, "error_pass"))(TuckerKernels.sumSquaredError(spark, entries, factors, core))
+          TuckerKernels.squaredErrors(entries, Jobs.tag(Method, iter, n, "error_pass"), factors, core)._2
         else 0.0
       ModeStats(sse, None)
     }
@@ -295,16 +290,6 @@ object PTucker {
       case e @ (_: SparkException | _: IllegalArgumentException) =>
         throw new IllegalStateException(s"P-Tucker $variant: row solve failed at iteration $iter, mode $n", e)
     }
-
-  /** One partition's entry count and `Σ x²` (Cache's first pass). */
-  private final class CountSquares extends PartitionTask[TensorEntry, (Long, Double)] {
-    def apply(ctx: TaskContext, es: Iterator[TensorEntry]): (Long, Double) = {
-      var n = 0L
-      var sumSq = 0.0
-      es.foreach { e => n += 1; sumSq += e.value * e.value }
-      (n, sumSq)
-    }
-  }
 
   /** One block's share of a mode update (see [[solveBlock]]): the solved
     * rows (row-major) with the SSE over their entries, each part of a split
@@ -599,13 +584,13 @@ object PTucker {
     * at high T.
     */
   private def solveFromPres(pres: RDD[(TensorEntry, Array[Double])], description: String, n: Int, jn: Int,
-                            lambda: Double, bF: Broadcast[FactorData], bC: Broadcast[CoreCells],
+                            lambda: Double, bM: Broadcast[ModelData], bC: Broadcast[CoreCells],
                             updated: DenseMatrix): Unit = {
     val seqOp = (acc: Array[Double], dx: (Array[Double], Double)) => {
       accumulate(acc, dx._1, dx._2); acc
     }
     val rows = pres
-      .map { case (e, p) => (e.idx(n), (deltaFromPres(e.idx, p, n, jn, bF.value, bC.value), e.value)) }
+      .map { case (e, p) => (e.idx(n), (deltaFromPres(e.idx, p, n, jn, bM.value.f, bC.value, bM.value.tree), e.value)) }
       .combineByKey(
         (dx: (Array[Double], Double)) => seqOp(new Array[Double](jn * jn + jn), dx),
         seqOp, mergeAcc _)
@@ -662,41 +647,44 @@ object PTucker {
     out
   }
 
-  /** Algorithm 3 line 12: δ from the cache — O(1) per core cell, falling
-    * back to the O(N) product when the stored mode-n entry is ~0.
+  /** Algorithm 3 line 12: δ from the cache, `Pres[α][β] / a^(n)_{i_n β_n}`
+    * summed per column — O(1) per core cell, `cells` giving each cell's
+    * mode-n column. If a cell's factor entry is at most 1e-12 in magnitude,
+    * the division is unsafe (paper note), and the entry's δ is recomputed
+    * from `tree` instead ([[CoreTree.delta]]).
     */
   private[core] def deltaFromPres(idx: Array[Int], p: Array[Double], n: Int, jn: Int,
-                                  f: FactorData, cells: CoreCells): Array[Double] = {
+                                  f: FactorData, cells: CoreCells, tree: CoreTree): Array[Double] = {
+    val off = idx(n) * jn
+    val dataN = f(n)._2
     val out = new Array[Double](jn)
-    val (colsN, dataN) = f(n)
     var b = 0
     while (b < cells.length) {
-      val (cIdx, g) = cells(b)
-      val a = dataN(idx(n) * colsN + cIdx(n))
-      // degenerate cell: recompute the product without mode n (paper note)
-      out(cIdx(n)) += (if (math.abs(a) > 1e-12) p(b) / a else cellProduct(idx, cIdx, g, n, f))
+      val j = cells(b)._1(n)
+      val a = dataN(off + j)
+      if (math.abs(a) <= 1e-12) return tree.delta(idx, n, f)
+      out(j) += p(b) / a
       b += 1
     }
     out
   }
 
   /** Algorithm 3 line 19: `Pres *= a_new/a_old` for mode `n`, where `oldF`
-    * is the old `A^(n)` and `f` holds the updated factors; recomputes the
-    * full product when the old entry is ~0 (division is unsafe there).
+    * is the old `A^(n)` and `f` holds the updated factors. If a cell's old
+    * factor entry is at most 1e-12 in magnitude, the division is unsafe,
+    * and the entry's row is recomputed from `tree` instead ([[computePres]]).
     */
-  private[core] def patchPres(idx: Array[Int], p: Array[Double], n: Int,
-                              oldF: (Int, Array[Double]), cells: CoreCells,
-                              f: FactorData): Array[Double] = {
+  private[core] def patchPres(idx: Array[Int], p: Array[Double], n: Int, oldF: (Int, Array[Double]),
+                              cells: CoreCells, f: FactorData, tree: CoreTree): Array[Double] = {
+    val off = idx(n) * oldF._1
+    val dataN = f(n)._2
     val out = new Array[Double](p.length)
-    val (colsO, dataO) = oldF
-    val (colsN, dataN) = f(n)
     var b = 0
     while (b < cells.length) {
-      val (cIdx, g) = cells(b)
-      val aOld = dataO(idx(n) * colsO + cIdx(n))
-      out(b) =
-        if (math.abs(aOld) > 1e-12) p(b) / aOld * dataN(idx(n) * colsN + cIdx(n))
-        else cellProduct(idx, cIdx, g, NoSkip, f)
+      val j = cells(b)._1(n)
+      val aOld = oldF._2(off + j)
+      if (math.abs(aOld) <= 1e-12) return computePres(idx, f, tree, tree.scratch())
+      out(b) = p(b) / aOld * dataN(off + j)
       b += 1
     }
     out

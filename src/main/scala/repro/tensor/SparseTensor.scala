@@ -12,10 +12,10 @@ final case class TensorEntry(idx: Array[Int], value: Double)
 /** Sparse, partially observed N-order tensor.
   *
   * Entries live as a Spark DataFrame (`i0…i{N-1}: int, value: double`) so
-  * generation, statistics and the DuckDB oracle stay at the SQL layer; the
-  * solvers obtain a cached `RDD[TensorEntry]` view because the paper's
-  * contribution (row-parallel ALS) is an RDD-layer computation (see
-  * DESIGN.md §2).
+  * generation, statistics and the DuckDB oracle stay at the SQL layer. The
+  * solvers and `TuckerModel`'s evaluation read its rows through one checked
+  * reader (`RowBlocks`), because the paper's contribution (row-parallel
+  * ALS) is an RDD-layer computation (see DESIGN.md §2).
   */
 final class SparseTensor(val dims: Array[Int], val df: DataFrame) extends Serializable {
 
@@ -24,8 +24,9 @@ final class SparseTensor(val dims: Array[Int], val df: DataFrame) extends Serial
   /** Column names `i0 … i{N-1}`. */
   def indexCols: Seq[String] = (0 until order).map(k => s"i$k")
 
-  /** Entries as a typed RDD, partitioned into `numPartitions` slices
-    * (≙ the paper's thread count T for the Fig-10 sweep).
+  /** Entries as a typed RDD, repartitioned (a shuffle) into
+    * `numPartitions` slices, with no check of the entries. No solver or
+    * evaluation reads it; the specs and the benchmark's probe of its cost do.
     */
   def entriesRdd(numPartitions: Int): RDD[TensorEntry] = {
     val n = order

@@ -76,7 +76,7 @@ class PTuckerOracleSpec extends SparkSpec {
     // Spark/kernel side: c per (i0, j)
     val cRows = t.collectEntries()
       .flatMap { case (idx, x) =>
-        val d = TreeDelta.of(tree, idx, 0, fd)
+        val d = tree.delta(idx, 0, fd)
         d.indices.map(j => ((idx(0), j), x * d(j)))
       }
       .groupBy(_._1).map { case ((i0, j), vs) => Row(i0, j, vs.map(_._2).sum) }.toSeq

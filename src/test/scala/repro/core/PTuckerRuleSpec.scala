@@ -46,7 +46,7 @@ class PTuckerRuleSpec extends AnyFunSuite {
 
   test("the δ kernel matches the Eq. (13) reference for every entry and mode") {
     for ((idx, _) <- entries; n <- 0 until 3) {
-      val got = TreeDelta.of(tree, idx, n, fd)
+      val got = tree.delta(idx, n, fd)
       val want = refDelta(idx, n)
       assert(got.zip(want).forall { case (a, b) => math.abs(a - b) < 1e-12 },
         s"delta mismatch at ${idx.toSeq} mode $n")
@@ -73,8 +73,8 @@ class PTuckerRuleSpec extends AnyFunSuite {
   test("deltaFromPres reproduces the δ kernel when no factor entry is zero") {
     for ((idx, _) <- entries.take(10); n <- 0 until 3) {
       val pres = PTucker.computePres(idx, fd, tree, tree.scratch())
-      val viaCache = PTucker.deltaFromPres(idx, pres, n, ranks(n), fd, cc)
-      val direct = TreeDelta.of(tree, idx, n, fd)
+      val viaCache = PTucker.deltaFromPres(idx, pres, n, ranks(n), fd, cc, tree)
+      val direct = tree.delta(idx, n, fd)
       assert(viaCache.zip(direct).forall { case (a, b) => math.abs(a - b) < 1e-9 })
     }
   }
@@ -85,8 +85,8 @@ class PTuckerRuleSpec extends AnyFunSuite {
     val fdz = TuckerKernels.factorData(fzero)
     val idx = Array(2, 1, 0)
     val pres = PTucker.computePres(idx, fdz, tree, tree.scratch()) // some cells are exactly 0
-    val viaCache = PTucker.deltaFromPres(idx, pres, 0, ranks(0), fdz, cc)
-    val direct = TreeDelta.of(tree, idx, 0, fdz)
+    val viaCache = PTucker.deltaFromPres(idx, pres, 0, ranks(0), fdz, cc, tree)
+    val direct = refDelta(idx, 0) // δ^(0) does not read A^(0), the only factor zeroed
     assert(viaCache.zip(direct).forall { case (a, b) => math.abs(a - b) < 1e-9 })
   }
 
@@ -96,7 +96,7 @@ class PTuckerRuleSpec extends AnyFunSuite {
     val fdNew = TuckerKernels.factorData(updated)
     for ((idx, _) <- entries.take(10)) {
       val old = PTucker.computePres(idx, fd, tree, tree.scratch())
-      val patched = PTucker.patchPres(idx, old, 1, fd(1), cc, fdNew)
+      val patched = PTucker.patchPres(idx, old, 1, fd(1), cc, fdNew, tree)
       val fresh = PTucker.computePres(idx, fdNew, tree, tree.scratch())
       assert(patched.zip(fresh).forall { case (a, b) => math.abs(a - b) < 1e-9 })
     }
@@ -107,7 +107,7 @@ class PTuckerRuleSpec extends AnyFunSuite {
     val acc = new Array[Double](jn * jn + jn)
     val mine = entries.filter(_._1(0) == 1)
     mine.foreach { case (idx, x) =>
-      PTucker.accumulate(acc, TreeDelta.of(tree, idx, 0, fd), x)
+      PTucker.accumulate(acc, tree.delta(idx, 0, fd), x)
     }
     PTucker.mirror(acc, jn) // accumulate fills B's upper triangle
     val bWant = Array.ofDim[Double](jn, jn)
@@ -153,7 +153,7 @@ class PTuckerRuleSpec extends AnyFunSuite {
     assert(mine.nonEmpty)
     val acc = new Array[Double](jn * jn + jn)
     mine.foreach { case (idx, x) =>
-      PTucker.accumulate(acc, TreeDelta.of(tree, idx, n, fd), x)
+      PTucker.accumulate(acc, tree.delta(idx, n, fd), x)
     }
     val row = PTucker.solveRow(acc, jn, lambda)
 
@@ -234,8 +234,8 @@ class PTuckerRuleSpec extends AnyFunSuite {
         .filter(c => c != base && base.isAssignableFrom(c)).map(_.getName).toList
       finally files.close()
     }.toSet
-    val used = Set("core.Jobs$Count", "core.Jobs$Collect", "core.RowBlocks$CountRows", "core.PTucker$CountSquares",
-      "core.PTucker$SolveBlocks", "baselines.HooiCommon$Scan",
+    val used = Set("core.Jobs$Count", "core.Jobs$Collect", "core.RowBlocks$CountRows",
+      "core.PTucker$SolveBlocks", "core.TuckerKernels$SquaredErrors", "baselines.HooiCommon$Scan",
       "baselines.HooiCommon$CoreSums").map("repro." + _)
     assert(tasks == used, s"found ${tasks.mkString(", ")}")
     tasks.foreach { name =>

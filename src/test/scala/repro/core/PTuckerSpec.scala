@@ -214,7 +214,8 @@ class PTuckerSpec extends SparkSpec {
       if (v == PTuckerVariant.Approx)
         assert(m.history.last.coreNnz == m.history.init.last.coreNnz, s"$name: core still shrinking")
       else if (name == "noise-free") assert(m.history.last.fit > 0.99, s"fit ${m.history.last.fit}")
-      val exact = math.sqrt(TuckerKernels.sumSquaredError(spark, t.entriesRdd(4), m.factors, m.core))
+      val exact = math.sqrt(CellList.squaredError(t.collectEntries().toSeq, TuckerKernels.factorData(m.factors),
+        TuckerKernels.coreCells(m.core)))
       val got = m.history.last.error
       assert(relDiff(exact, got) <= 1e-9, s"$name, $v, T=$p: recorded $got vs exact $exact")
     }
@@ -323,60 +324,87 @@ class PTuckerSpec extends SparkSpec {
       "CSF" -> ((t: SparseTensor) => TuckerCsf.fit(spark, t, Array(1, 1, 1), maxIters = 1, partitions = 2)),
       "wOPT" -> ((t: SparseTensor) => TuckerWopt.fit(spark, t, Array(1, 1, 1), maxIters = 1)))
 
-  /** Fits a 4×9×3 tensor holding one valid entry and `bad`, as
-    * [[assertRejectedInput]] does.
+  /** The evaluations of a model of the 4×9×3 tensors below, with ranks
+    * (1, 1, 1) and at most 2 tasks: they read the tensor through the same
+    * checked reader as the fits.
     */
-  private def assertRejected(bad: (Array[Int], Double), want: String): Unit =
-    assertRejectedInput(SparseTensor.fromEntries(spark, Array(4, 9, 3), Seq((Array(0, 0, 0), 1.0), bad)), want)
-
-  test("input validation: an index outside [0, dim) is rejected, naming mode, index and dim") {
-    assertRejected((Array(1, 9, 2), 2.0), "mode 1: index 9 outside [0, 9)")
-    assertRejected((Array(1, 2, -1), 2.0), "mode 2: index -1 outside [0, 3)")
-    assertRejected((Array(4, 2, 1), 2.0), "mode 0: index 4 outside [0, 4)")
+  private lazy val evaluations: Seq[(String, SparseTensor => Any)] = {
+    val dims = Array(4, 9, 3)
+    val m = TuckerModel(dims, Array(1, 1, 1), dims.map(DenseMatrix.rand(_, 1, 5)),
+      repro.tensor.CoreTensor.rand(Array(1, 1, 1), 6), Vector.empty)
+    Seq("reconstructionError" -> ((t: SparseTensor) => m.reconstructionError(spark, t, partitions = 2)),
+      "testRmse" -> ((t: SparseTensor) => m.testRmse(spark, t, partitions = 2)))
   }
 
-  test("input validation: a non-finite value is rejected, naming the entry") {
-    assertRejected((Array(1, 2, 0), Double.NaN), "entry (1, 2, 0): value NaN is not finite")
-    assertRejected((Array(3, 8, 2), Double.NegativeInfinity), "entry (3, 8, 2): value -Infinity is not finite")
-    assertRejected((Array(2, 5, 1), Double.PositiveInfinity), "entry (2, 5, 1): value Infinity is not finite")
+  /** A 4×9×3 tensor holding one valid entry and `bad`. */
+  private def withEntry(bad: (Array[Int], Double)): SparseTensor =
+    SparseTensor.fromEntries(spark, Array(4, 9, 3), Seq((Array(0, 0, 0), 1.0), bad))
+
+  /** Bad inputs, each with the message its rejection must contain. */
+  private def badIndices: Seq[(SparseTensor, String)] = Seq(
+    withEntry((Array(1, 9, 2), 2.0)) -> "mode 1: index 9 outside [0, 9)",
+    withEntry((Array(1, 2, -1), 2.0)) -> "mode 2: index -1 outside [0, 3)",
+    withEntry((Array(4, 2, 1), 2.0)) -> "mode 0: index 4 outside [0, 4)")
+
+  private def badValues: Seq[(SparseTensor, String)] = Seq(
+    withEntry((Array(1, 2, 0), Double.NaN)) -> "entry (1, 2, 0): value NaN is not finite",
+    withEntry((Array(3, 8, 2), Double.NegativeInfinity)) -> "entry (3, 8, 2): value -Infinity is not finite",
+    withEntry((Array(2, 5, 1), Double.PositiveInfinity)) -> "entry (2, 5, 1): value Infinity is not finite")
+
+  /** A 4×9×3 tensor of two entries, in a DataFrame of the given schema. */
+  private def tensorOf(schema: StructType, rows: Row*): SparseTensor =
+    SparseTensor(Array(4, 9, 3), spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema))
+
+  private def badColumns: Seq[(SparseTensor, String)] = {
+    val long = StructType(SparseTensor.schema(3).fields.updated(1, StructField("i1", LongType, nullable = false)))
+    val floatValue = StructType(SparseTensor.schema(3).fields.updated(3, StructField("value", FloatType)))
+    val short = StructType(SparseTensor.schema(3).fields.take(3))
+    Seq(tensorOf(long, Row(0, 0L, 0, 1.0), Row(1, 2L, 0, 2.0)) -> "column 1 (i1) has type LongType, not IntegerType",
+      tensorOf(floatValue, Row(0, 0, 0, 1.0f)) -> "column 3 (value) has type FloatType, not DoubleType",
+      tensorOf(short, Row(0, 0, 0)) -> "an order-3 tensor has 4 columns")
   }
 
-  /** Fits `t` with each of [[checkedFits]]; each fit must throw an
-    * IllegalArgumentException whose message contains `want`, and leave no
-    * RDD persisted and no broadcast alive.
+  /** Every method reads the input as InternalRows, which read a null int as 0. */
+  private def nullFields: Seq[(SparseTensor, String)] = {
+    val nullable = StructType(SparseTensor.schema(3).fields.map(_.copy(nullable = true)))
+    Seq(tensorOf(nullable, Row(0, 0, 0, 1.0), Row(1, 2, 0, null)) -> "entry (1, 2, 0): value is null",
+      tensorOf(nullable, Row(0, 0, 0, 1.0), Row(1, null, 0, 2.0)) -> "entry (1, null, 0): mode 1 index is null")
+  }
+
+  /** Runs each of `methods` on each bad input; each must throw an
+    * IllegalArgumentException whose message contains the input's `want`,
+    * and leave no RDD persisted and no broadcast alive.
     */
-  private def assertRejectedInput(t: SparseTensor, want: String): Unit = {
+  private def assertRejectedInputs(cases: Seq[(SparseTensor, String)], methods: Seq[(String, SparseTensor => Any)]): Unit = {
     val sc = spark.sparkContext
-    for ((name, fit) <- checkedFits) {
+    for ((t, want) <- cases; (name, run) <- methods) {
       val before = sc.getPersistentRDDs.keySet
       val broadcasts = BroadcastProbe.liveIds(sc)
-      val e = intercept[IllegalArgumentException](fit(t))
+      val e = intercept[IllegalArgumentException](run(t))
       assert(e.getMessage.contains(want), s"$name: ${e.getMessage}")
       assert((sc.getPersistentRDDs.keySet -- before).isEmpty, s"$name left RDDs persisted")
       assertNoNewBroadcast(broadcasts, name)
     }
   }
 
-  /** A 4×9×3 tensor of two entries, in a DataFrame of the given schema. */
-  private def tensorOf(schema: StructType, rows: Row*): SparseTensor =
-    SparseTensor(Array(4, 9, 3), spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema))
+  test("input validation: an index outside [0, dim) is rejected, naming mode, index and dim") {
+    assertRejectedInputs(badIndices, checkedFits)
+  }
+
+  test("input validation: a non-finite value is rejected, naming the entry") {
+    assertRejectedInputs(badValues, checkedFits)
+  }
 
   test("input validation: a column of another type is rejected by position, naming the column and its type") {
-    val long = StructType(SparseTensor.schema(3).fields.updated(1, StructField("i1", LongType, nullable = false)))
-    assertRejectedInput(tensorOf(long, Row(0, 0L, 0, 1.0), Row(1, 2L, 0, 2.0)),
-      "column 1 (i1) has type LongType, not IntegerType")
-    val floatValue = StructType(SparseTensor.schema(3).fields.updated(3, StructField("value", FloatType)))
-    assertRejectedInput(tensorOf(floatValue, Row(0, 0, 0, 1.0f)), "column 3 (value) has type FloatType, not DoubleType")
-    val short = StructType(SparseTensor.schema(3).fields.take(3))
-    assertRejectedInput(tensorOf(short, Row(0, 0, 0)), "an order-3 tensor has 4 columns")
+    assertRejectedInputs(badColumns, checkedFits)
   }
 
   test("input validation: a null field is rejected, naming the entry") {
-    // Every method reads the input as InternalRows, which read a null int as 0.
-    val nullable = StructType(SparseTensor.schema(3).fields.map(_.copy(nullable = true)))
-    assertRejectedInput(tensorOf(nullable, Row(0, 0, 0, 1.0), Row(1, 2, 0, null)), "entry (1, 2, 0): value is null")
-    assertRejectedInput(tensorOf(nullable, Row(0, 0, 0, 1.0), Row(1, null, 0, 2.0)),
-      "entry (1, null, 0): mode 1 index is null")
+    assertRejectedInputs(nullFields, checkedFits)
+  }
+
+  test("evaluation rejects a bad held-out tensor through the checked reader, leaving nothing behind") {
+    assertRejectedInputs(badIndices ++ badValues ++ badColumns ++ nullFields, evaluations)
   }
 
   test("fit leaves no RDD persisted, for every variant") {
@@ -472,6 +500,23 @@ class PTuckerSpec extends SparkSpec {
     assert(want.size == 3 + 2 * 3 * iters)
     assert(stages.size == want.size, s"${stages.size} stages")
     assert(stages.forall(_ == ((0L, 0L))), s"shuffle bytes and records written ${stages.mkString(", ")}")
+  }
+
+  test("an evaluation is one job tagged model/i0/m0/error that shuffles nothing, and repeats bit for bit") {
+    val (_, test) = planted.split(0.9)
+    planted.nnz // the input's own cache is built outside the listened jobs
+    val m = defaultModel
+    for ((name, eval) <- Seq[(String, () => Double)](
+           "testRmse" -> (() => m.testRmse(spark, test, partitions = 4)),
+           "reconstructionError" -> (() => m.reconstructionError(spark, planted, partitions = 4)))) {
+      var first = 0.0
+      val (got, stages) = fitJobs { first = eval() }
+      assert(got == Seq("model/i0/m0/error"), name)
+      assert(stages == Seq((0L, 0L)), s"$name: stages' shuffle bytes and records ${stages.mkString(", ")}")
+      val second = eval()
+      assert(java.lang.Double.doubleToLongBits(first) == java.lang.Double.doubleToLongBits(second),
+        s"$name: $first vs $second")
+    }
   }
 
   /** The WARN (or worse) events that loggers named after an RDD class log
@@ -587,8 +632,7 @@ class PTuckerSpec extends SparkSpec {
       val b = DenseMatrix.zeros(2, 2)
       val c = new Array[Double](2)
       entries.filter(_._1(2) == i).foreach { case (idx, x) =>
-        val d = new Array[Double](2)
-        cells.foreach { case (cell, g) => d(cell(2)) += TuckerKernels.cellProduct(idx, cell, g, 2, fd) }
+        val d = CellList.delta(idx, 2, fd, cells)
         for (p <- 0 until 2; q <- 0 until 2) b(p, q) += d(p) * d(q)
         for (p <- 0 until 2) c(p) += x * d(p)
       }
@@ -597,7 +641,7 @@ class PTuckerSpec extends SparkSpec {
       for (j <- 0 until 2)
         assert(relDiff(want(j), factors(2)(i, j)) <= 1e-9, s"row $i: ${factors(2)(i, j)} vs ${want(j)}")
     }
-    val exact = entries.map { case (idx, x) => val r = x - TuckerKernels.predict(idx, fd, cells); r * r }.sum
+    val exact = CellList.squaredError(entries.toSeq, fd, cells)
     assert(relDiff(exact, sse) <= 1e-9, s"SSE $sse vs exact $exact")
   }
 

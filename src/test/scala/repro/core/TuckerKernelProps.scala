@@ -96,7 +96,7 @@ object TuckerKernelProps extends Properties("TuckerKernels") {
           val lane = out.map(_(l))
           close(lane, refDelta(c.copy(idx = idx), c.factors, n)) &&
             lane.map(java.lang.Double.doubleToLongBits).sameElements(
-              TreeDelta.of(tree, idx, n, fd).map(java.lang.Double.doubleToLongBits))
+              tree.delta(idx, n, fd).map(java.lang.Double.doubleToLongBits))
         }
       }
     }
@@ -116,7 +116,7 @@ object TuckerKernelProps extends Properties("TuckerKernels") {
       val fd = TuckerKernels.factorData(c.factors)
       val tree = CoreTree(c.core)
       val s = tree.scratch() // one scratch for every call, as in a task
-      val deltas = (0 until c.order).forall(n => close(TreeDelta.of(tree, c.idx, n, fd), refDelta(c, c.factors, n)))
+      val deltas = (0 until c.order).forall(n => close(tree.delta(c.idx, n, fd), refDelta(c, c.factors, n)))
       val ps = new Array[Double](c.core.nnz)
       val pred = tree.products(c.idx, fd, s, ps)
       val want = refPres(c, c.factors)
@@ -131,7 +131,7 @@ object TuckerKernelProps extends Properties("TuckerKernels") {
       val tree = CoreTree(c.core)
       val pres = PTucker.computePres(c.idx, fd, tree, tree.scratch())
       (0 until c.order).forall { n =>
-        close(PTucker.deltaFromPres(c.idx, pres, n, c.ranks(n), fd, cc), refDelta(c, f, n))
+        close(PTucker.deltaFromPres(c.idx, pres, n, c.ranks(n), fd, cc, tree), refDelta(c, f, n))
       }
     }
 
@@ -145,7 +145,7 @@ object TuckerKernelProps extends Properties("TuckerKernels") {
       val oldFd = TuckerKernels.factorData(old)
       val tree = CoreTree(c.core)
       val pres = PTucker.computePres(c.idx, oldFd, tree, tree.scratch())
-      close(PTucker.patchPres(c.idx, pres, m, oldFd(m), cc, TuckerKernels.factorData(updated)),
+      close(PTucker.patchPres(c.idx, pres, m, oldFd(m), cc, TuckerKernels.factorData(updated), tree),
         refPres(c, updated))
     }
 }
