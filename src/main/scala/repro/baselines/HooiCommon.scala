@@ -49,10 +49,10 @@ object HooiCommon {
 
   /** Algorithm 1 with zeros for missing entries: QR-initialised random
     * factors, `maxIters` sweeps that each update every mode from the rows
-    * `ttmc` builds, then the core by one more scan. The input is read once,
-    * into row blocks, and they are released, with every broadcast, even
-    * when the fit throws. A fit runs `3 + 2N·maxIters` jobs, tagged
-    * `hooi/i<k>/m<n>/<phase>`, and none of them shuffles.
+    * `ttmc` builds, then the core by one more scan. The input is read in
+    * one job, into row blocks, and they are released, with every
+    * broadcast, even when the fit throws. A fit runs `2 + 2N·maxIters`
+    * jobs, tagged `hooi/i<k>/m<n>/<phase>`, and none of them shuffles.
     */
   private[baselines] def sweep(spark: SparkSession, tensor: SparseTensor, ranks: Array[Int], maxIters: Int,
                                partitions: Int, seed: Long)(ttmc: RunTtmc): TuckerModel = {

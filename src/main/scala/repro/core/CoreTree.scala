@@ -95,8 +95,10 @@ final class CoreTree private (val order: Int, dims: Array[Int], ids: Array[Array
   }
 
   /** Eq. (13) for one entry with indices `idx`: its `δ^(n)`, from a
-    * [[deltas]] call that holds it alone, with a scratch of its own. For
-    * rare calls; a task contracts its entries in chunks instead.
+    * [[deltas]] call that holds it alone, with a scratch of its own. That
+    * call still contracts all [[CoreTree.Lanes]] (128) lanes, so this is
+    * for rare calls, such as Cache's fallback at a zero factor entry; a
+    * task contracts its entries in chunks instead.
     */
   def delta(idx: Array[Int], n: Int, f: FactorData): Array[Double] = {
     val out = Array.fill(dims(n))(new Array[Double](Lanes))
@@ -263,8 +265,12 @@ final class CoreTree private (val order: Int, dims: Array[Int], ids: Array[Array
 
 object CoreTree {
 
-  /** How many entries [[CoreTree.deltas]] contracts at once. */
-  final val Lanes = 32
+  /** How many entries [[CoreTree.deltas]] contracts at once. A node's lane
+    * loops pay their set-up once per call, so wider chunks cost less per
+    * entry, up to a point: 256 lanes were not faster than 128 across the
+    * shapes `DeltaKernelBench` times, and would double the scratch.
+    */
+  final val Lanes = 128
 
   /** [[CoreTree.laneScratch]]: `nodes(k)(q)` holds level `k`'s node `q`,
     * `Lanes` doubles (no nodes for the leaves), `rows(k)(j)` column `j` of

@@ -209,13 +209,20 @@ object PTucker {
   /** Cache: the entries and their Pres rows (Algorithm 3). Pres is aligned
     * with the entries, so a mode update sums each row's `(B | c)` by
     * `combineByKey` on `i_n` ([[solveFromPres]]), and Eq. (6) is a separate
-    * pass over the entries ([[TuckerKernels.squaredErrors]]).
+    * pass over the entries ([[TuckerKernels.squaredErrors]]). The core does
+    * not change until the fit's final QR fold, so its tree and cells are
+    * broadcast once, in [[open]]; a mode update broadcasts only the updated
+    * factors, which the next update reads as its old ones.
     */
   private final class PresLayout(spark: SparkSession, tensor: SparseTensor, T: Int,
                                  config: PTuckerConfig) extends Layout {
     private val sc = spark.sparkContext
     private var entries: RDD[TensorEntry] = _
     private var pres: RDD[(TensorEntry, Array[Double])] = _
+    private var bTree: Broadcast[CoreTree] = _
+    private var bCells: Broadcast[CoreCells] = _
+    // The factors as they are now, which the next mode update starts from.
+    private var bF: Broadcast[FactorData] = _
     // Destroyed by close(). Until then they are only unpersisted: the Pres
     // closures stay fields of the cached RDD even after checkpoint
     // truncation, and task serialization still writes the broadcast stub, so
@@ -237,35 +244,38 @@ object PTucker {
         new CoreTensor(config.ranks, Array.empty)))
       require(nnz > 0, "empty tensor")
       // Algorithm 3 lines 1-4: precompute the Pres cache table.
-      val bM = broadcast(modelData(factors, core))
+      bTree = broadcast(CoreTree(core))
+      bCells = broadcast(coreCells(core))
+      bF = broadcast(factorData(factors))
+      // Locals, so that the closure captures the broadcasts, not this layout.
+      val (bT, bF0) = (bTree, bF)
       pres = materialize(entries.mapPartitions { es =>
-        val ModelData(f, tree, _) = bM.value
+        val tree = bT.value
         val s = tree.scratch()
-        es.map(e => (e, computePres(e.idx, f, tree, s)))
+        es.map(e => (e, computePres(e.idx, bF0.value, tree, s)))
       }, Jobs.tag(Method, 0, 0, "materialize"))
-      bM.unpersist()
       math.sqrt(sumSq)
     }
 
     def updateMode(iter: Int, n: Int, factors: Array[DenseMatrix], core: CoreTensor, rBeta: Boolean): ModeStats = {
       require(!rBeta, "P-Tucker-Cache computes no R(β)")
       val jn = config.ranks(n)
-      val bM = broadcast(modelData(factors, core))
-      val bC = broadcast(coreCells(core))
       val updated = DenseMatrix.zeros(tensor.dims(n), jn)
+      val (bOld, bT, bC) = (bF, bTree, bCells)
       rowSolve(config.variant, iter, n) {
-        solveFromPres(pres, Jobs.tag(Method, iter, n, "mode_update"), n, jn, config.lambda, bM, bC, updated)
+        solveFromPres(pres, Jobs.tag(Method, iter, n, "mode_update"), n, jn, config.lambda, bOld, bT, bC, updated)
       }
       factors(n) = updated
-      // Algorithm 3 lines 16-19: patch Pres multiplicatively for mode n.
-      // bM still holds the old factors and the core's tree, bC the core.
+      // Algorithm 3 lines 16-19: patch Pres multiplicatively for mode n,
+      // from the old factors to the updated ones.
       val bNew = broadcast(factorData(factors))
       val old = pres
       pres = materialize(old.map { case (e, p) =>
-        (e, patchPres(e.idx, p, n, bM.value.f(n), bC.value, bNew.value, bM.value.tree))
+        (e, patchPres(e.idx, p, n, bOld.value(n), bC.value, bNew.value, bT.value))
       }, Jobs.tag(Method, iter, n, "materialize"))
       release(old)
-      Seq(bM, bC, bNew).foreach(_.unpersist())
+      bOld.unpersist()
+      bF = bNew
       val sse =
         if (n == tensor.order - 1)
           TuckerKernels.squaredErrors(entries, Jobs.tag(Method, iter, n, "error_pass"), factors, core)._2
@@ -584,13 +594,13 @@ object PTucker {
     * at high T.
     */
   private def solveFromPres(pres: RDD[(TensorEntry, Array[Double])], description: String, n: Int, jn: Int,
-                            lambda: Double, bM: Broadcast[ModelData], bC: Broadcast[CoreCells],
-                            updated: DenseMatrix): Unit = {
+                            lambda: Double, bF: Broadcast[FactorData], bT: Broadcast[CoreTree],
+                            bC: Broadcast[CoreCells], updated: DenseMatrix): Unit = {
     val seqOp = (acc: Array[Double], dx: (Array[Double], Double)) => {
       accumulate(acc, dx._1, dx._2); acc
     }
     val rows = pres
-      .map { case (e, p) => (e.idx(n), (deltaFromPres(e.idx, p, n, jn, bM.value.f, bC.value, bM.value.tree), e.value)) }
+      .map { case (e, p) => (e.idx(n), (deltaFromPres(e.idx, p, n, jn, bF.value, bC.value, bT.value), e.value)) }
       .combineByKey(
         (dx: (Array[Double], Double)) => seqOp(new Array[Double](jn * jn + jn), dx),
         seqOp, mergeAcc _)
@@ -606,10 +616,10 @@ object PTucker {
     * per-task data). Default's δ costs `O(nodes(G))` per entry and mode
     * ([[CoreTree]]), the paper's Cache time without Cache's memory; for it
     * a task holds the core's tree, a re-layout of G, and the δ kernel's
-    * scratch ([[CoreTree.laneScratch]]): `Lanes` (32) doubles per tree
-    * node above the leaves, plus `32·Σ J_k` for the gathered factor rows
-    * and `32·J_n` for a chunk's δ's. That is independent of |Ω| and I, but
-    * may exceed G itself (27 KB against 4 KB at N = 3, J = 8), and it is
+    * scratch ([[CoreTree.laneScratch]]): `Lanes` (128) doubles per tree
+    * node above the leaves, plus `128·Σ J_k` for the gathered factor rows
+    * and `128·J_n` for a chunk's δ's. That is independent of |Ω| and I, but
+    * may exceed G itself (106 KB against 4 KB at N = 3, J = 8), and it is
     * not modelled. Not modelled either, because they depend on the data:
     * Default and Approx store the entries N times, once per mode's row
     * blocks, in columnar form (X itself, N copies), and a last-mode task
@@ -619,8 +629,9 @@ object PTucker {
     * double each per distinct rest tuple of the cells (at most
     * `min(|G|, J^{N-1})`), a split part's `M` (J times as many), and the
     * block's `Y` and `Z` (2|G|, which the driver sums into its R(β)
-    * vector). The parts of split rows add `O(T·J²)` on the driver, and the
-    * row placement `Σ I_n` ints.
+    * vector). The parts of split rows add `O(T·J²)` on the driver. While
+    * the blocks are built, each task holds its own row counts and
+    * placement, `Σ I_n` longs and ints.
     */
   def intermediateDoubles(config: PTuckerConfig, T: Int, nnz: Long): Long = {
     val j = config.ranks.max.toLong

@@ -1,11 +1,11 @@
 package repro.core
 
 import org.apache.spark.{NarrowDependency, Partition, SparkBridge, SparkException, TaskContext}
-import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.types.{DoubleType, IntegerType}
 import org.apache.spark.storage.StorageLevel
+import org.apache.spark.util.CollectionAccumulator
 import repro.tensor.{SparseTensor, TensorEntry}
 
 import scala.collection.mutable
@@ -14,15 +14,10 @@ import scala.util.hashing.MurmurHash3
 /** A sparse tensor laid out in row blocks, opened by [[RowBlocks.open]]:
   * `rdd` has T partitions, and partition `b` holds an array of N
   * [[RowBlocks.RowBlock]]s, mode `n`'s block `b` at index `n`. `norm` is
-  * ‖X‖ over the observed entries. [[close]] releases the blocks and the
-  * row placement.
+  * ‖X‖ over the observed entries. [[close]] releases the blocks.
   */
-private[repro] final class RowBlocks private (val rdd: RDD[Array[RowBlocks.RowBlock]],
-                                              placement: Broadcast[RowBlocks.Placement], val norm: Double) {
-  def close(): Unit = {
-    RowBlocks.release(rdd)
-    placement.destroy()
-  }
+private[repro] final class RowBlocks private (val rdd: RDD[Array[RowBlocks.RowBlock]], val norm: Double) {
+  def close(): Unit = RowBlocks.release(rdd)
 }
 
 /** The one checked reader of a sparse tensor, and the row-block layout that
@@ -33,32 +28,35 @@ private[repro] final class RowBlocks private (val rdd: RDD[Array[RowBlocks.RowBl
   */
 private[repro] object RowBlocks {
 
-  /** Reads `tensor` in two jobs tagged `<method>/i0/m0/open` and
-    * `…/materialize`: the first checks every entry and counts each mode's
-    * rows ([[countRows]]), the second builds the blocks without a shuffle
-    * ([[BlockScan]]), placed by [[Placement]] over T blocks per mode, and
-    * locally checkpoints them ([[materialize]]).
+  /** Reads `tensor` into row blocks in one job tagged `<method>/i0/m0/open`
+    * ([[BlockScan]]): each of its T tasks checks and counts every entry,
+    * places the rows by [[Placement]] over T blocks per mode, and keeps its
+    * own entries. The blocks are locally checkpointed ([[materialize]]).
+    * Each task reads the whole input twice, so the input should be
+    * persisted. An empty tensor is rejected.
     */
   def open(tensor: SparseTensor, T: Int, method: String): RowBlocks = {
     checkSchema(tensor)
-    val (counts, sumSq) = inputChecked(countRows(tensor, method))
-    val nnz = counts(0).sum
+    val sums = tensor.df.sparkSession.sparkContext.collectionAccumulator[(Long, Double)]
+    val rdd = inputChecked(materialize(new BlockScan(tensor.df.queryExecution.toRdd, tensor.dims, T, sums),
+      Jobs.tag(method, 0, 0, "open")))
+    // Every task counts the whole input, so all report the same sums.
+    val (nnz, sumSq) = sums.value.get(0)
+    if (nnz == 0) release(rdd)
     require(nnz > 0, "empty tensor")
-    val placement = tensor.df.sparkSession.sparkContext.broadcast(Placement(counts, nnz, T))
-    val rdd =
-      try materialize(new BlockScan(tensor.df.queryExecution.toRdd, tensor.dims, placement, T),
-        Jobs.tag(method, 0, 0, "materialize"))
-      catch { case e: Throwable => placement.destroy(); throw e }
-    new RowBlocks(rdd, placement, math.sqrt(sumSq))
+    new RowBlocks(rdd, math.sqrt(sumSq))
   }
 
   /** Every entry of `tensor` on the driver, in input order, each checked by
-    * [[decodeChecked]], in one job tagged `<method>/i0/m0/open`.
+    * [[decodeChecked]], in one job tagged `<method>/i0/m0/open`. An empty
+    * tensor is rejected.
     */
   def collectChecked(tensor: SparseTensor, method: String): Array[TensorEntry] = {
     checkSchema(tensor)
-    inputChecked(Jobs.run(tensor.df.queryExecution.toRdd.mapPartitions(new CheckedEntries(tensor.dims)),
+    val entries = inputChecked(Jobs.run(tensor.df.queryExecution.toRdd.mapPartitions(new CheckedEntries(tensor.dims)),
       Jobs.tag(method, 0, 0, "open"), new Jobs.Collect[TensorEntry])).flatten
+    require(entries.nonEmpty, "empty tensor")
+    entries
   }
 
   /** Rejects a tensor whose columns are not, by position, N `IntegerType`
@@ -127,33 +125,6 @@ private[repro] object RowBlocks {
       case e: SparkException if e.getCause.isInstanceOf[IllegalArgumentException] =>
         throw new IllegalArgumentException(e.getCause.getMessage, e)
     }
-
-  /** One pass over the input: checks every entry and returns, per mode, the
-    * number of entries in each row, and `Σ x²`, summed in partition order.
-    */
-  private def countRows(tensor: SparseTensor, method: String): (Array[Array[Long]], Double) =
-    Jobs.run(tensor.df.queryExecution.toRdd, Jobs.tag(method, 0, 0, "open"), new CountRows(tensor.dims))
-      .foldLeft((tensor.dims.map(d => new Array[Long](d)), 0.0)) { case ((c1, s1), (c2, s2)) =>
-        c1.zip(c2).foreach { case (a, b) => var i = 0; while (i < a.length) { a(i) += b(i); i += 1 } }
-        (c1, s1 + s2)
-      }
-
-  /** One input partition's share of [[countRows]]. */
-  private final class CountRows(dims: Array[Int]) extends PartitionTask[InternalRow, (Array[Array[Long]], Double)] {
-    def apply(ctx: TaskContext, rs: Iterator[InternalRow]): (Array[Array[Long]], Double) = {
-      val order = dims.length
-      val counts = dims.map(d => new Array[Long](d))
-      val e = new Array[Int](order)
-      var sumSq = 0.0
-      while (rs.hasNext) {
-        val v = decodeChecked(dims, rs.next(), e)
-        var n = 0
-        while (n < order) { counts(n)(e(n)) += 1; n += 1 }
-        sumSq += v * v
-      }
-      (counts, sumSq)
-    }
-  }
 
   /** Each input row as a [[TensorEntry]], after [[decodeChecked]]. A named
     * class, so that building the RDD skips the closure cleaner.
@@ -271,29 +242,57 @@ private[repro] object RowBlocks {
 
   /** The row-block layout, built without a shuffle: T partitions over all
     * of `input`'s. Partition `b` holds an array of N [[RowBlock]]s, the
-    * `n`-th with the entries that `placement` sends to mode `n`'s block `b`
-    * (empty if there are none), so every entry is stored N times. Its task
-    * reads every input partition, in order, and keeps its own entries
-    * (checked by [[countRows]] before), then sorts each block
+    * `n`-th with the entries that the [[Placement]] sends to mode `n`'s
+    * block `b` (empty if there are none), so every entry is stored N times.
+    * Its task reads every input partition, in order, twice. The first pass
+    * checks every entry ([[decodeChecked]]), counts each mode's rows, and
+    * sums `x²` per input partition, adding the partitions' sums in order;
+    * the task then places the rows from its counts, as every other task
+    * does, and adds the entry count and `Σ x²` to `sums`. The second pass
+    * keeps the task's own entries, and each block is sorted
     * ([[sortedBlock]]). A partition carries the input's partitions (as
     * Spark's `CoalescedRDD` does), because an executor cannot compute
-    * `input.partitions` itself.
+    * `input.partitions` itself. The checkpoint drops `sums` with the
+    * input's lineage, so the tasks that read the blocks do not carry it.
     */
-  private final class BlockScan(input: RDD[InternalRow], dims: Array[Int], placement: Broadcast[Placement], T: Int)
+  private final class BlockScan(input: RDD[InternalRow], dims: Array[Int], T: Int,
+                                private var sums: CollectionAccumulator[(Long, Double)])
       extends RDD[Array[RowBlock]](input.sparkContext, Seq(new AllPartitions(input))) {
     protected def getPartitions: Array[Partition] = {
       val inputs = firstParent[InternalRow].partitions
       Array.tabulate[Partition](T)(new ScanPartition(_, inputs))
     }
 
+    override protected def clearDependencies(): Unit = {
+      super.clearDependencies()
+      sums = null
+    }
+
     def compute(split: Partition, ctx: TaskContext): Iterator[Array[RowBlock]] = {
       val b = split.index
-      val place = placement.value
+      val inputs = split.asInstanceOf[ScanPartition].inputs
       val order = dims.length
+      val e = new Array[Int](order)
+      val counts = dims.map(d => new Array[Long](d))
+      var nnz = 0L
+      var sumSq = 0.0
+      inputs.foreach { p =>
+        val rs = firstParent[InternalRow].iterator(p, ctx)
+        var s = 0.0
+        while (rs.hasNext) {
+          val v = decodeChecked(dims, rs.next(), e)
+          var n = 0
+          while (n < order) { counts(n)(e(n)) += 1; n += 1 }
+          s += v * v
+          nnz += 1
+        }
+        sumSq += s
+      }
+      sums.add((nnz, sumSq))
+      val place = Placement(counts, nnz, T)
       val idx = Array.fill(order)(new mutable.ArrayBuilder.ofInt)
       val values = Array.fill(order)(new mutable.ArrayBuilder.ofDouble)
-      val e = new Array[Int](order)
-      split.asInstanceOf[ScanPartition].inputs.foreach { p =>
+      inputs.foreach { p =>
         val rs = firstParent[InternalRow].iterator(p, ctx)
         while (rs.hasNext) {
           val v = decode(rs.next(), e)
@@ -318,58 +317,67 @@ private[repro] object RowBlocks {
 
   /** Sorts one block's entries, given in input order (entry `e` has indices
     * `idx(e·N until (e+1)·N)` and value `values(e)`), by the mode-`n` index
-    * (in `[0, dim)`), then the other indices. The sort is stable, so entries
-    * with the same indices keep their input order. The order of the
-    * entries, and with it every row's summation order, then does not
-    * depend, for a row that is not split, on T. The sort is a counting sort
-    * on the mode-`n` index, then a merge sort of each row's run. No entries
-    * give the empty block.
+    * (in `[0, dim)`), then the other indices in ascending mode order. The
+    * sort is stable, so entries with the same indices keep their input
+    * order. The order of the entries, and with it every row's summation
+    * order, then does not depend, for a row that is not split, on T. It is
+    * a least-significant-digit radix sort: one stable counting sort per
+    * mode, on the other modes from the last to the first, then on `i_n`.
+    * No entries give the empty block.
     */
   def sortedBlock(n: Int, dim: Int, order: Int, idx: Array[Int], values: Array[Double],
                   isSplit: Int => Boolean): RowBlock = {
     val m = values.length
     if (m == 0) return RowBlock.Empty
-    val start = new Array[Int](dim + 1)
+    // each mode's index range in this block; mode n's is [0, dim)
+    val range = new Array[Int](order)
     var e = 0
-    while (e < m) { start(idx(e * order + n) + 1) += 1; e += 1 }
-    var i = 0
-    while (i < dim) { start(i + 1) += start(i); i += 1 }
-    val perm = new Array[Int](m)
-    val next = java.util.Arrays.copyOf(start, dim)
-    e = 0
     while (e < m) {
-      val r = idx(e * order + n)
-      perm(next(r)) = e
-      next(r) += 1
+      var k = 0
+      while (k < order) { range(k) = math.max(range(k), idx(e * order + k) + 1); k += 1 }
       e += 1
     }
-    val byOthers = (a: Int, b: Int) => {
-      var c = 0
-      var k = 0
-      while (c == 0 && k < order) {
-        if (k != n) c = Integer.compare(idx(a * order + k), idx(b * order + k))
-        k += 1
-      }
-      c
-    }
-    val tmp = new Array[Int](m)
-    i = 0
-    while (i < dim) {
-      if (start(i + 1) - start(i) > 1) mergeSort(perm, tmp, start(i), start(i + 1), byOthers)
-      i += 1
+    range(n) = dim
+    var perm = Array.range(0, m)
+    var next = new Array[Int](m)
+    for (k <- (order - 1 to 0 by -1).filter(_ != n) :+ n) {
+      countingSort(idx, order, k, range(k), perm, next)
+      val t = perm; perm = next; next = t
     }
     val sortedIdx = new Array[Int](m * order)
     val sortedValues = new Array[Double](m)
     val parts = new mutable.ArrayBuilder.ofInt
     e = 0
     while (e < m) {
-      System.arraycopy(idx, perm(e) * order, sortedIdx, e * order, order)
+      val from = perm(e) * order
+      var k = 0
+      while (k < order) { sortedIdx(e * order + k) = idx(from + k); k += 1 }
       sortedValues(e) = values(perm(e))
       val i = sortedIdx(e * order + n)
       if ((e == 0 || sortedIdx((e - 1) * order + n) != i) && isSplit(i)) parts += i
       e += 1
     }
     RowBlock(sortedIdx, sortedValues, parts.result())
+  }
+
+  /** Writes the entries `from` (positions into `idx`, N indices apiece) to
+    * `to` in ascending order of their mode-`k` index, which lies in
+    * `[0, range)`; entries with equal indices keep their order in `from`.
+    */
+  private def countingSort(idx: Array[Int], order: Int, k: Int, range: Int, from: Array[Int], to: Array[Int]): Unit = {
+    val next = new Array[Int](range + 1)
+    var e = 0
+    while (e < from.length) { next(idx(from(e) * order + k) + 1) += 1; e += 1 }
+    var i = 0
+    while (i < range) { next(i + 1) += next(i); i += 1 }
+    e = 0
+    while (e < from.length) {
+      val x = from(e)
+      val r = idx(x * order + k)
+      to(next(r)) = x
+      next(r) += 1
+      e += 1
+    }
   }
 
   /** Stable merge sort of `a(lo until hi)` by `cmp`, with `tmp` (as long as

@@ -234,9 +234,8 @@ class PTuckerRuleSpec extends AnyFunSuite {
         .filter(c => c != base && base.isAssignableFrom(c)).map(_.getName).toList
       finally files.close()
     }.toSet
-    val used = Set("core.Jobs$Count", "core.Jobs$Collect", "core.RowBlocks$CountRows",
-      "core.PTucker$SolveBlocks", "core.TuckerKernels$SquaredErrors", "baselines.HooiCommon$Scan",
-      "baselines.HooiCommon$CoreSums").map("repro." + _)
+    val used = Set("core.Jobs$Count", "core.Jobs$Collect", "core.PTucker$SolveBlocks",
+      "core.TuckerKernels$SquaredErrors", "baselines.HooiCommon$Scan", "baselines.HooiCommon$CoreSums").map("repro." + _)
     assert(tasks == used, s"found ${tasks.mkString(", ")}")
     tasks.foreach { name =>
       val c = Class.forName(name, false, base.getClassLoader)

@@ -181,6 +181,29 @@ class PTuckerSpec extends SparkSpec {
     }
   }
 
+  test("the row blocks' norm is the input partitions' sums of x², added in partition order") {
+    def inPartitions(t: SparseTensor, k: Int) = {
+      val rows = t.collectEntries().toSeq.map { case (idx, v) => Row.fromSeq(idx.toSeq :+ v) }
+      SparseTensor(t.dims, spark.createDataFrame(spark.sparkContext.parallelize(rows, k), SparseTensor.schema(3)))
+    }
+    for ((name, t) <- Seq(("hot rows in 7 partitions", inPartitions(hotRowTensor(), 7)),
+                          ("planted in 3 partitions", inPartitions(planted, 3)))) {
+      val sums = t.df.rdd.mapPartitions { rs =>
+        var s = 0.0
+        rs.foreach { r => val x = r.getDouble(3); s += x * x }
+        Iterator.single(s)
+      }.collect()
+      assert(sums.length > 1, s"$name: one input partition")
+      val want = math.sqrt(sums.foldLeft(0.0)(_ + _))
+      for (p <- Seq(1, 4, 16)) {
+        val blocks = RowBlocks.open(t, p, "test")
+        val got = try blocks.norm finally blocks.close()
+        assert(java.lang.Double.doubleToLongBits(got) == java.lang.Double.doubleToLongBits(want),
+          s"$name, T=$p: $got vs $want")
+      }
+    }
+  }
+
   test("the row blocks are locally checkpointed: a mode-update task does not carry the input's lineage") {
     // Spark serializes a task's binary and partition with Java serialization
     val ser = new JavaSerializer(spark.sparkContext.getConf).newInstance()
@@ -403,6 +426,12 @@ class PTuckerSpec extends SparkSpec {
     assertRejectedInputs(nullFields, checkedFits)
   }
 
+  test("input validation: an empty tensor is rejected") {
+    val empty = SparseTensor(Array(4, 9, 3), spark.createDataFrame(
+      spark.sparkContext.parallelize(Seq.empty[Row], 2), SparseTensor.schema(3)))
+    assertRejectedInputs(Seq(empty -> "empty tensor"), checkedFits)
+  }
+
   test("evaluation rejects a bad held-out tensor through the checked reader, leaving nothing behind") {
     assertRejectedInputs(badIndices ++ badValues ++ badColumns ++ nullFields, evaluations)
   }
@@ -460,12 +489,14 @@ class PTuckerSpec extends SparkSpec {
   test("every fit job is tagged ptucker/i<k>/m<n>/<phase>, and the caller's description survives") {
     val sc = spark.sparkContext
     val iters = 2
-    val setUp = Seq("ptucker/i0/m0/open", "ptucker/i0/m0/materialize")
+    // Default and Approx open the row blocks in one job; Cache reads its
+    // entries, then builds its Pres table.
+    val open = Seq("ptucker/i0/m0/open")
     def modes(k: Int, phase: Int => Seq[String]) = (0 until 3).flatMap(n => s"ptucker/i$k/m$n/mode_update" +: phase(n))
     val want = Map[PTuckerVariant, Seq[String]](
-      PTuckerVariant.Default -> (setUp ++ (1 to iters).flatMap(k => modes(k, _ => Nil))),
-      PTuckerVariant.Approx -> (setUp ++ (1 to iters).flatMap(k => modes(k, _ => Nil))),
-      PTuckerVariant.Cache -> (setUp ++ (1 to iters).flatMap(k => modes(k, n =>
+      PTuckerVariant.Default -> (open ++ (1 to iters).flatMap(k => modes(k, _ => Nil))),
+      PTuckerVariant.Approx -> (open ++ (1 to iters).flatMap(k => modes(k, _ => Nil))),
+      PTuckerVariant.Cache -> (open ++ Seq("ptucker/i0/m0/materialize") ++ (1 to iters).flatMap(k => modes(k, n =>
         s"ptucker/i$k/m$n/materialize" +: (if (n == 2) Seq(s"ptucker/i$k/m$n/error_pass") else Nil)))))
     planted.nnz // the input's own cache is built outside the listened jobs
     sc.setJobDescription("caller")
@@ -476,12 +507,12 @@ class PTuckerSpec extends SparkSpec {
         assert(sc.getLocalProperty("spark.job.description") == "caller", s"$v")
         // Default and Approx: one stage per job, none of which shuffles.
         if (v != PTuckerVariant.Cache) {
-          assert(stages.size == 2 + 3 * iters, s"$v: ${stages.size} stages")
+          assert(stages.size == 1 + 3 * iters, s"$v: ${stages.size} stages")
           assert(stages.forall(_ == ((0L, 0L))), s"$v: shuffle bytes and records written ${stages.mkString(", ")}")
         }
       }
-      assert(want(PTuckerVariant.Default).size == 2 + 3 * iters)
-      assert(want(PTuckerVariant.Approx).size == 2 + 3 * iters)
+      assert(want(PTuckerVariant.Default).size == 1 + 3 * iters)
+      assert(want(PTuckerVariant.Approx).size == 1 + 3 * iters)
       intercept[IllegalStateException] {
         PTucker.fit(spark, overflowTensor(), PTuckerConfig(ranks = Array(2, 2), maxIters = 5, partitions = 2))
       }
@@ -489,15 +520,15 @@ class PTuckerSpec extends SparkSpec {
     } finally sc.setJobDescription(null)
   }
 
-  test("an S-HOT fit runs 3 + 2N·iters jobs tagged hooi/i<k>/m<n>/<phase>, none of which shuffles") {
+  test("an S-HOT fit runs 2 + 2N·iters tagged jobs, none of which shuffles") {
     val iters = 2
-    val want = Seq("hooi/i0/m0/open", "hooi/i0/m0/materialize") ++
+    val want = Seq("hooi/i0/m0/open") ++
       (1 to iters).flatMap(k => (0 until 3).flatMap(n => Seq(s"hooi/i$k/m$n/gram", s"hooi/i$k/m$n/project"))) :+
       s"hooi/i$iters/m0/core"
     planted.nnz // the input's own cache is built outside the listened jobs
     val (got, stages) = fitJobs(SHotScan.fit(spark, planted, Array(2, 2, 2), maxIters = iters, partitions = 4))
     assert(got == want)
-    assert(want.size == 3 + 2 * 3 * iters)
+    assert(want.size == 2 + 2 * 3 * iters)
     assert(stages.size == want.size, s"${stages.size} stages")
     assert(stages.forall(_ == ((0L, 0L))), s"shuffle bytes and records written ${stages.mkString(", ")}")
   }
@@ -587,17 +618,17 @@ class PTuckerSpec extends SparkSpec {
     SparseTensor.fromEntries(spark, dims, entries)
   }
 
-  /** 205 entries whose mode-2 rows hold 20, 45 and 140 of them. At T = 2
-    * row 2 is split into two parts of about 70, which share the blocks with
-    * rows 1 and 0, so in the last mode a whole run and a part each cross a
-    * multiple of [[CoreTree.Lanes]] entries.
+  /** 820 entries whose mode-2 rows hold 80, 180 and 560 of them. At T = 2
+    * row 2 is split into two parts of about 280, which share the blocks
+    * with rows 1 and 0, so in the last mode a whole run and a part each
+    * cross a multiple of [[CoreTree.Lanes]] entries.
     */
   private def straddleTensor(): SparseTensor = {
     val rng = new scala.util.Random(33)
-    val entries = Seq(0 -> 20, 1 -> 45, 2 -> 140).flatMap { case (i2, count) =>
-      rng.shuffle((0 until 15 * 12).toList).take(count).map(p => (Array(p / 12, p % 12, i2), rng.nextDouble()))
+    val entries = Seq(0 -> 80, 1 -> 180, 2 -> 560).flatMap { case (i2, count) =>
+      rng.shuffle((0 until 30 * 24).toList).take(count).map(p => (Array(p / 24, p % 24, i2), rng.nextDouble()))
     }
-    SparseTensor.fromEntries(spark, Array(15, 12, 3), entries)
+    SparseTensor.fromEntries(spark, Array(30, 24, 3), entries)
   }
 
   test("a run and a split row's part that straddle δ chunks give the literal row solve and Eq. (6)") {
