@@ -49,11 +49,12 @@ final case class PTuckerConfig(ranks: Array[Int],
   * Parallelization mapping (DESIGN.md §2): the paper updates the rows of
   * `A^(n)` across OpenMP threads. Default and Approx lay the entries out once
   * per fit in row blocks ([[RowBlocks]], which the HOOI competitors sweep
-  * too), T partitions each holding one block per mode, placed by the rows'
-  * entry counts (MLlib ALS's in-block layout). A mode update is then one
-  * stage of T tasks: each assembles its rows' normal equations
-  * `(B_{i_n}, c_{i_n})` of Eq. (11)-(12), solves them (Eq. 10) and returns
-  * the rows, with no shuffle. Cache's Pres table is aligned with the entries
+  * too), T partitions each holding one block per mode: T equal slices of the
+  * mode's entries ordered by row, a row crossing a slice boundary split over
+  * consecutive blocks. A mode update is then one stage of T tasks: each
+  * assembles its rows' normal equations `(B_{i_n}, c_{i_n})` of
+  * Eq. (11)-(12), solves them (Eq. 10) and returns the rows, with no
+  * shuffle. Cache's Pres table is aligned with the entries
   * instead, so Cache assembles the same equations by `combineByKey` on `i_n`.
   * The driver only ever holds the factor matrices themselves (`I_n×J_n`,
   * small by assumption). Every job goes through [[Jobs.run]] and is tagged
@@ -624,14 +625,14 @@ object PTucker {
     * Default and Approx store the entries N times, once per mode's row
     * blocks, in columnar form (X itself, N copies), and a last-mode task
     * also holds one run's δ's for the Eq.-6 sum: one row's, or one part's
-    * of a split row, so about `|Ω|/2T · J` at most. Approx's last-mode
+    * of a split row, so `⌈|Ω|/T⌉ · J` at most. Approx's last-mode
     * task also holds the run sums of R(β) ([[RBetaSums]]): `W` and `V`, one
     * double each per distinct rest tuple of the cells (at most
     * `min(|G|, J^{N-1})`), a split part's `M` (J times as many), and the
     * block's `Y` and `Z` (2|G|, which the driver sums into its R(β)
-    * vector). The parts of split rows add `O(T·J²)` on the driver. While
-    * the blocks are built, each task holds its own row counts and
-    * placement, `Σ I_n` longs and ints.
+    * vector). The parts of split rows, at most T−1 rows per mode, add
+    * `O(T·J²)` on the driver. While the blocks are built, each task holds
+    * its rows' counts, turned into prefix sums: `Σ I_n` longs.
     */
   def intermediateDoubles(config: PTuckerConfig, T: Int, nnz: Long): Long = {
     val j = config.ranks.max.toLong

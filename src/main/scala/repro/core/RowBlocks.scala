@@ -9,7 +9,6 @@ import org.apache.spark.util.CollectionAccumulator
 import repro.tensor.{SparseTensor, TensorEntry}
 
 import scala.collection.mutable
-import scala.util.hashing.MurmurHash3
 
 /** A sparse tensor laid out in row blocks, opened by [[RowBlocks.open]]:
   * `rdd` has T partitions, and partition `b` holds an array of N
@@ -25,13 +24,30 @@ private[repro] final class RowBlocks private (val rdd: RDD[Array[RowBlocks.RowBl
   * checked on its first read: an index outside `[0, dims(k))`, a non-finite
   * value, a null field or a column of the wrong type is an
   * IllegalArgumentException that names it, before any other job runs.
+  *
+  * Mode `n`'s blocks are T equal slices of its entries in the order
+  * `(i_n, input order)`: an entry's rank is the number of entries in the
+  * rows below its `i_n`, plus the number of its own row's entries before it
+  * in input order, and block `b` holds the ranks
+  * `[⌊b·|Ω|/T⌋, ⌊(b+1)·|Ω|/T⌋)`. Every block then holds `⌊|Ω|/T⌋` or
+  * `⌈|Ω|/T⌉` entries however skewed the rows are, as the paper's threads
+  * share a mode's work (§III-C). A row is split exactly when it crosses a
+  * slice boundary: its parts sit in consecutive blocks, and only a block's
+  * first and last runs can be parts, so a mode has at most T−1 split rows.
+  * Input order is the order of the input's partitions, then of the rows
+  * within each.
+  *
+  * A coordinate listed more than once is one observation per occurrence,
+  * kept in input order: by the row blocks, so by every method that opens
+  * them, and by Cache's Pres table. The copies of a split row's coordinate
+  * may land in different parts.
   */
 private[repro] object RowBlocks {
 
   /** Reads `tensor` into row blocks in one job tagged `<method>/i0/m0/open`
     * ([[BlockScan]]): each of its T tasks checks and counts every entry,
-    * places the rows by [[Placement]] over T blocks per mode, and keeps its
-    * own entries. The blocks are locally checkpointed ([[materialize]]).
+    * and keeps its own slice of every mode's entries. The blocks are
+    * locally checkpointed ([[materialize]]).
     * Each task reads the whole input twice, so the input should be
     * persisted. An empty tensor is rejected.
     */
@@ -136,83 +152,6 @@ private[repro] object RowBlocks {
     }
   }
 
-  /** Which of its mode's T blocks each row's entries go to. `home(n)(i)` is
-    * row `i`'s block, or `-1 - s` for a row split into parts: part `q` goes
-    * to block `splits(n)(s)(q)`, and an entry to the part its index hashes to.
-    */
-  final case class Placement(home: Array[Array[Int]], splits: Array[Array[Array[Int]]]) {
-    def isSplit(n: Int, i: Int): Boolean = home(n)(i) < 0
-
-    /** The mode-`n` block of the entry with indices `idx`. */
-    def blockOf(n: Int, idx: Array[Int]): Int = {
-      val h = home(n)(idx(n))
-      if (h >= 0) h
-      else {
-        val parts = splits(n)(-1 - h)
-        parts(Math.floorMod(MurmurHash3.arrayHash(idx), parts.length))
-      }
-    }
-  }
-
-  object Placement {
-    /** Balances each mode's entries over T blocks, from its rows' entry
-      * counts. A row with more than `cap = ⌈|Ω|/2T⌉` entries is split into
-      * `min(⌈count/cap⌉, T)` parts of about equal size. Rows and parts then
-      * go, largest first, to the block with the fewest entries so far (ties
-      * to the lower block). So no block gets more than about
-      * `|Ω|/T + cap`, 1.5 times its share, however skewed the rows are; the
-      * hashing of a split row's entries to its parts adds a little to that.
-      */
-    def apply(counts: Array[Array[Long]], nnz: Long, T: Int): Placement = {
-      val cap = math.max(1L, (nnz + 2L * T - 1) / (2L * T))
-      val home = counts.map(c => new Array[Int](c.length))
-      val splits = Array.tabulate(counts.length) { n =>
-        val c = counts(n)
-        val rowsB = new mutable.ArrayBuilder.ofInt
-        var i = 0
-        while (i < c.length) { if (c(i) > 0) rowsB += i; i += 1 }
-        val rows = rowsB.result()
-        val parts = rows.map(i => math.min((c(i) + cap - 1) / cap, T.toLong).toInt)
-        val size = Array.tabulate(rows.length)(r => c(rows(r)) / parts(r))
-        // Largest first; the sort is stable, so equal sizes keep ascending rows.
-        val bySize = Array.range(0, rows.length)
-        mergeSort(bySize, new Array[Int](rows.length), 0, rows.length, (x, y) => java.lang.Long.compare(size(y), size(x)))
-        val loads = new Loads(T)
-        val split = mutable.ArrayBuffer.empty[Array[Int]]
-        bySize.foreach { r =>
-          val blocks = Array.fill(parts(r))(loads.take(size(r)))
-          home(n)(rows(r)) = if (blocks.length == 1) blocks(0) else { split += blocks; -split.length }
-        }
-        split.toArray
-      }
-      Placement(home, splits)
-    }
-  }
-
-  /** T blocks' loads, as a binary min-heap of the blocks on `(load, block)`. */
-  private final class Loads(T: Int) {
-    private val load = new Array[Long](T)
-    private val heap = Array.range(0, T) // all loads 0: ascending blocks are a heap
-    private def before(x: Int, y: Int): Boolean = load(x) < load(y) || (load(x) == load(y) && x < y)
-
-    /** The block with the least load (ties to the lower block), after adding
-      * `size` to its load.
-      */
-    def take(size: Long): Int = {
-      val b = heap(0)
-      load(b) += size
-      var k = 0
-      var done = false
-      while (!done && 2 * k + 1 < T) {
-        var c = 2 * k + 1
-        if (c + 1 < T && before(heap(c + 1), heap(c))) c += 1
-        if (before(heap(c), b)) { heap(k) = heap(c); k = c } else done = true
-      }
-      heap(k) = b
-      b
-    }
-  }
-
   /** One block of one mode's entries, in columnar form: entry `e` has
     * indices `idx(e·N until (e+1)·N)` and value `values(e)`. The entries are
     * sorted by the mode's index, then the other indices in ascending mode
@@ -242,17 +181,17 @@ private[repro] object RowBlocks {
 
   /** The row-block layout, built without a shuffle: T partitions over all
     * of `input`'s. Partition `b` holds an array of N [[RowBlock]]s, the
-    * `n`-th with the entries that the [[Placement]] sends to mode `n`'s
-    * block `b` (empty if there are none), so every entry is stored N times.
-    * Its task reads every input partition, in order, twice. The first pass
-    * checks every entry ([[decodeChecked]]), counts each mode's rows, and
-    * sums `x²` per input partition, adding the partitions' sums in order;
-    * the task then places the rows from its counts, as every other task
-    * does, and adds the entry count and `Σ x²` to `sums`. The second pass
-    * keeps the task's own entries, and each block is sorted
-    * ([[sortedBlock]]). A partition carries the input's partitions (as
-    * Spark's `CoalescedRDD` does), because an executor cannot compute
-    * `input.partitions` itself. The checkpoint drops `sums` with the
+    * `n`-th with mode `n`'s block `b` (empty if it holds no entries), so
+    * every entry is stored N times. Its task reads every input partition,
+    * in order, twice. The first pass checks every entry ([[decodeChecked]]),
+    * counts each mode's rows, and sums `x²` per input partition, adding the
+    * partitions' sums in order; the task adds the entry count and `Σ x²` to
+    * `sums`, and turns each mode's counts into its rows' first ranks. The
+    * second pass ranks every entry in every mode, by its row's next rank,
+    * and keeps it where the rank falls in the task's slice. Each block is
+    * then sorted ([[sortedBlock]]). A partition carries the input's
+    * partitions (as Spark's `CoalescedRDD` does), because an executor cannot
+    * compute `input.partitions` itself. The checkpoint drops `sums` with the
     * input's lineage, so the tasks that read the blocks do not carry it.
     */
   private final class BlockScan(input: RDD[InternalRow], dims: Array[Int], T: Int,
@@ -273,7 +212,8 @@ private[repro] object RowBlocks {
       val inputs = split.asInstanceOf[ScanPartition].inputs
       val order = dims.length
       val e = new Array[Int](order)
-      val counts = dims.map(d => new Array[Long](d))
+      // mode n's row i: its entry count, then the rank of its next entry
+      val rank = dims.map(d => new Array[Long](d))
       var nnz = 0L
       var sumSq = 0.0
       inputs.foreach { p =>
@@ -282,14 +222,21 @@ private[repro] object RowBlocks {
         while (rs.hasNext) {
           val v = decodeChecked(dims, rs.next(), e)
           var n = 0
-          while (n < order) { counts(n)(e(n)) += 1; n += 1 }
+          while (n < order) { rank(n)(e(n)) += 1; n += 1 }
           s += v * v
           nnz += 1
         }
         sumSq += s
       }
       sums.add((nnz, sumSq))
-      val place = Placement(counts, nnz, T)
+      val lo = b * nnz / T
+      val hi = (b + 1) * nnz / T
+      // a row's first rank: the entries of the rows below it
+      rank.foreach { c =>
+        var r = 0L
+        var i = 0
+        while (i < c.length) { val k = c(i); c(i) = r; r += k; i += 1 }
+      }
       val idx = Array.fill(order)(new mutable.ArrayBuilder.ofInt)
       val values = Array.fill(order)(new mutable.ArrayBuilder.ofDouble)
       inputs.foreach { p =>
@@ -298,13 +245,20 @@ private[repro] object RowBlocks {
           val v = decode(rs.next(), e)
           var n = 0
           while (n < order) {
-            if (place.blockOf(n, e) == b) { idx(n) ++= e; values(n) += v }
+            val r = rank(n)(e(n))
+            rank(n)(e(n)) = r + 1
+            if (r >= lo && r < hi) { idx(n) ++= e; values(n) += v }
             n += 1
           }
         }
       }
-      Iterator.single(Array.tabulate(order)(n =>
-        sortedBlock(n, dims(n), order, idx(n).result(), values(n).result(), place.isSplit(n, _))))
+      // Row i's ranks are now [rank(n)(i − 1), rank(n)(i)), from 0 for row 0:
+      // it is split when they cross the slice's bounds.
+      Iterator.single(Array.tabulate(order) { n =>
+        val end = rank(n)
+        sortedBlock(n, dims(n), order, idx(n).result(), values(n).result(),
+          i => (if (i == 0) 0L else end(i - 1)) < lo || end(i) > hi)
+      })
     }
   }
 
@@ -379,36 +333,6 @@ private[repro] object RowBlocks {
       e += 1
     }
   }
-
-  /** Stable merge sort of `a(lo until hi)` by `cmp`, with `tmp` (as long as
-    * `a`) as the merge buffer.
-    */
-  private def mergeSort(a: Array[Int], tmp: Array[Int], lo: Int, hi: Int, cmp: (Int, Int) => Int): Unit =
-    if (hi - lo <= 16) {
-      var i = lo + 1
-      while (i < hi) {
-        val v = a(i)
-        var j = i - 1
-        while (j >= lo && cmp(a(j), v) > 0) { a(j + 1) = a(j); j -= 1 }
-        a(j + 1) = v
-        i += 1
-      }
-    } else {
-      val mid = (lo + hi) >>> 1
-      mergeSort(a, tmp, lo, mid, cmp)
-      mergeSort(a, tmp, mid, hi, cmp)
-      if (cmp(a(mid - 1), a(mid)) > 0) {
-        System.arraycopy(a, lo, tmp, lo, hi - lo)
-        var i = lo
-        var j = mid
-        var k = lo
-        while (k < hi) {
-          if (j >= hi || (i < mid && cmp(tmp(i), tmp(j)) <= 0)) { a(k) = tmp(i); i += 1 }
-          else { a(k) = tmp(j); j += 1 }
-          k += 1
-        }
-      }
-    }
 
   /** Persists and counts an RDD in a job described by `description`
     * ([[release]]ing it again if the count fails). The local checkpoint

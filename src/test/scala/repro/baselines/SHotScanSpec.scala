@@ -70,8 +70,9 @@ class SHotScanSpec extends SparkSpec {
     }
   }
 
-  /** Rows 0-2 of mode 0 hold most of the entries, so at T = 4 they are
-    * split over several blocks.
+  /** Rows 0-2 of mode 0 hold most of the entries (135, 121 and 145 of
+    * 521), so at T = 4 (130 or 131 entries per block) rows 0 and 2 cross a
+    * block boundary and are split.
     */
   private def hotRowTensor(): SparseTensor = {
     val rng = new scala.util.Random(21)

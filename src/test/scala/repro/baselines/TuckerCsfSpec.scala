@@ -46,7 +46,8 @@ class TuckerCsfSpec extends SparkSpec {
   }
 
   test("S-HOT and CSF over empty row blocks match dense HOOI") {
-    // six entries over T = 8 blocks: most blocks of every mode are empty
+    // six entries over T = 8 blocks: blocks 0 and 4 of every mode are empty,
+    // each other block holds one entry, and every row with two is split
     val t = SparseTensor.fromEntries(spark, Array(4, 3, 3), Seq(
       (Array(0, 0, 0), 1.0), (Array(1, 2, 1), 2.0), (Array(3, 1, 2), 0.5),
       (Array(2, 0, 1), 1.5), (Array(0, 2, 2), 0.7), (Array(3, 0, 0), 1.2)))

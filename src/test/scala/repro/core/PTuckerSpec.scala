@@ -139,24 +139,56 @@ class PTuckerSpec extends SparkSpec {
   test("rows with many entries are split, so that no block holds much more than its share") {
     val t = hotRowTensor()
     val nnz = t.nnz
-    for (p <- Seq(2, 4, 16)) {
+    for (p <- Seq(1, 2, 4, 16)) {
       val layout = new PTucker.BlockLayout(spark, t, p, baseConfig.copy(partitions = p))
       try {
         layout.open(Array.empty, null)
-        assert(layout.blocks.getNumPartitions == p)
+        val blocks = layout.blocks.collect()
+        assert(blocks.length == p)
         (0 until 3).foreach { n =>
-          val sizes = layout.blocks.map(_(n).nnz.toLong).collect()
+          val sizes = blocks.map(_(n).nnz.toLong)
           assert(sizes.sum == nnz, s"T=$p, mode $n: blocks hold ${sizes.sum} of $nnz entries")
-          assert(sizes.max <= 1.5 * nnz / p, s"T=$p, mode $n: block sizes ${sizes.mkString(", ")}")
+          assert(sizes.forall(s => s == nnz / p || s == (nnz + p - 1) / p),
+            s"T=$p, mode $n: block sizes ${sizes.mkString(", ")}")
+          blocks.foreach { bs =>
+            val b = bs(n)
+            val ends = if (b.nnz == 0) Set.empty[Int] else Set(b.idx(n), b.idx((b.nnz - 1) * 3 + n))
+            assert(b.parts.forall(ends.contains), s"T=$p, mode $n: a part inside a block, parts ${b.parts.mkString(", ")}")
+          }
         }
+        if (p == 1) assert(blocks.forall(_.forall(_.parts.isEmpty)), "a row is split at T = 1")
+        else assert(blocks.exists(_(0).parts.nonEmpty), s"T=$p: no mode-0 row is split")
       } finally layout.close()
     }
   }
 
+  /** The row blocks of `entries`, given in input order, at T blocks per
+    * mode, built on the driver: mode `n`'s entries stably sorted by `i_n`,
+    * so each row's keep their input order, and cut into T slices by rank,
+    * slice `b` holding ranks `[⌊b·|Ω|/T⌋, ⌊(b+1)·|Ω|/T⌋)`. A row is split
+    * when its entries fall in more than one slice. Each slice is ordered
+    * within by [[RowBlocks.sortedBlock]].
+    */
+  private def referenceBlocks(entries: Array[(Array[Int], Double)], dims: Array[Int],
+                              T: Int): Array[Array[RowBlocks.RowBlock]] = {
+    val m = entries.length.toLong
+    val slices = dims.indices.map { n =>
+      val ranked = entries.sortBy(_._1(n)) // a stable sort
+      (0 until T).map(b => ranked.slice((b * m / T).toInt, ((b + 1) * m / T).toInt))
+    }
+    Array.tabulate(T, dims.length) { (b, n) =>
+      val mine = slices(n)(b)
+      val elsewhere = slices(n).indices.filter(_ != b).flatMap(slices(n)(_)).map(_._1(n)).toSet
+      RowBlocks.sortedBlock(n, dims(n), dims.length, mine.flatMap(_._1).toArray, mine.map(_._2).toArray,
+        elsewhere.contains)
+    }
+  }
+
+  /** Each block's entries as (indices, values, split-row parts). */
+  private def contents(blocks: Array[Array[RowBlocks.RowBlock]]) =
+    blocks.toSeq.map(_.toSeq.map(b => (b.idx.toSeq, b.values.toSeq, b.parts.toSeq)))
+
   test("the row blocks equal a driver-side build from the collected entries") {
-    // each block's entries as (indices, values, split-row parts)
-    def contents(blocks: Array[Array[RowBlocks.RowBlock]]) =
-      blocks.toSeq.map(_.toSeq.map(b => (b.idx.toSeq, b.values.toSeq, b.parts.toSeq)))
     val hot = hotRowTensor()
     val hotRows = hot.collectEntries().toSeq.map { case (idx, v) => Row.fromSeq(idx.toSeq :+ v) }
     def inPartitions(k: Int) =
@@ -164,21 +196,47 @@ class PTuckerSpec extends SparkSpec {
     val inputs = Seq(1, 3, 7).map(k => (s"hot rows in $k partitions", inPartitions(k))) ++
       Seq(("hot rows from fromEntries", hot), ("planted", planted))
     for ((name, t) <- inputs; p <- Seq(1, 2, 4, 16)) {
-      val entries = t.collectEntries()
-      val counts = t.dims.map { d => new Array[Long](d) }
-      entries.foreach { case (idx, _) => idx.indices.foreach(n => counts(n)(idx(n)) += 1) }
-      val place = RowBlocks.Placement(counts, entries.length.toLong, p)
-      val want = Array.tabulate(p, t.order) { (b, n) =>
-        val mine = entries.filter { case (idx, _) => place.blockOf(n, idx) == b }
-        RowBlocks.sortedBlock(n, t.dims(n), t.order, mine.flatMap(_._1), mine.map(_._2), place.isSplit(n, _))
-      }
-      if (p >= 4) assert(want.exists(_.exists(_.parts.nonEmpty)), s"$name, T=$p: no split row")
+      val want = referenceBlocks(t.collectEntries(), t.dims, p)
+      if (p >= 2) assert(want.exists(_.exists(_.parts.nonEmpty)), s"$name, T=$p: no split row")
       val layout = new PTucker.BlockLayout(spark, t, p, baseConfig.copy(partitions = p))
       try {
         layout.open(Array.empty, null)
         assert(contents(layout.blocks.collect()) == contents(want), s"$name, T=$p")
       } finally layout.close()
     }
+  }
+
+  test("a coordinate listed twice is two observations, also where its copies fall in different parts") {
+    // Row 0 of mode 0 holds 135 of the hot-row tensor's 521 entries. Its
+    // first entry is listed again, with another value, at the end of the
+    // input, so the copies rank first and last in that row: at T = 4 (130
+    // or 131 entries per block) in blocks 0 and 1.
+    val hot = hotRowTensor().collectEntries()
+    val first = hot.find(_._1(0) == 0).get._1
+    val entries = hot :+ ((first, 0.5))
+    val t = SparseTensor.fromEntries(spark, Array(12, 20, 20), entries.toSeq).persisted()
+    for (p <- Seq(1, 4)) {
+      val layout = new PTucker.BlockLayout(spark, t, p, baseConfig.copy(partitions = p))
+      val got =
+        try {
+          layout.open(Array.empty, null)
+          layout.blocks.collect()
+        } finally layout.close()
+      assert(contents(got) == contents(referenceBlocks(entries, t.dims, p)), s"T=$p")
+      val holders = got.indices.filter { b =>
+        val b0 = got(b)(0)
+        (0 until b0.nnz).exists(e => (0 until 3).forall(k => b0.idx(e * 3 + k) == first(k)))
+      }
+      assert(holders.size == (if (p == 1) 1 else 2), s"T=$p: the copies are in mode-0 blocks ${holders.mkString(", ")}")
+      for (v <- Seq(PTuckerVariant.Default, PTuckerVariant.Cache)) {
+        val m = PTucker.fit(spark, t, baseConfig.copy(variant = v, partitions = p, maxIters = 4, orthogonalize = false))
+        val exact = math.sqrt(CellList.squaredError(entries.toSeq, TuckerKernels.factorData(m.factors),
+          TuckerKernels.coreCells(m.core)))
+        val recorded = m.history.last.error
+        assert(relDiff(exact, recorded) <= 1e-9, s"$v, T=$p: recorded $recorded vs exact $exact")
+      }
+    }
+    t.unpersist()
   }
 
   test("the row blocks' norm is the input partitions' sums of x², added in partition order") {
@@ -226,8 +284,9 @@ class PTuckerSpec extends SparkSpec {
     // equal a separate pass, also near fit = 1 where Σx² - 2a·c + aᵀBa cancels.
     val noisy = TensorGen.lowRank(spark, dims = Array(10, 9, 8), ranks = Array(2, 2, 2),
       nnz = 500, noiseSd = 0.1, seed = 3).persisted()
-    // At T = 16 every row of the planted tensors is split over blocks, so
-    // the last mode's error comes from the split rows' parts.
+    // At T = 16 every row of the planted tensors is split over blocks (26
+    // to 53 entries per row against 21 or 22 per block), so the last mode's
+    // error comes from the split rows' parts.
     for ((t, name) <- Seq((noisy, "noisy"), (planted, "noise-free"));
          v <- Seq(PTuckerVariant.Default, PTuckerVariant.Approx); p <- Seq(4, 16)) {
       val m = PTucker.fit(spark, t, baseConfig.copy(variant = v, orthogonalize = false, partitions = p))
@@ -619,9 +678,9 @@ class PTuckerSpec extends SparkSpec {
   }
 
   /** 820 entries whose mode-2 rows hold 80, 180 and 560 of them. At T = 2
-    * row 2 is split into two parts of about 280, which share the blocks
-    * with rows 1 and 0, so in the last mode a whole run and a part each
-    * cross a multiple of [[CoreTree.Lanes]] entries.
+    * block 0 holds rows 0 and 1 and the first 150 entries of row 2, and
+    * block 1 row 2's other 410, so in the last mode a whole run (row 1) and
+    * a part each cross a multiple of [[CoreTree.Lanes]] entries.
     */
   private def straddleTensor(): SparseTensor = {
     val rng = new scala.util.Random(33)
@@ -682,7 +741,7 @@ class PTuckerSpec extends SparkSpec {
     val truncated = full3.truncate(Array.tabulate(8)(b => ((b * 5) % 8).toDouble), 3)
     val cases = Seq(
       // (name, tensor, core, T, whether the last mode has split rows)
-      ("no split rows", planted, full3, 2, false),
+      ("no split rows", planted, full3, 1, false),
       ("split rows", planted, full3, 16, true),
       ("truncated core", planted, truncated, 16, true),
       ("runs straddle δ chunks", straddleTensor(), repro.tensor.CoreTensor.rand(Array(2, 3, 2), 96), 2, true),
@@ -722,46 +781,6 @@ class PTuckerSpec extends SparkSpec {
         assert(math.abs(got(b) - want) < 1e-8,
           s"$name: R(beta) mismatch at cell ${cell.idx.toSeq}: got ${got(b)} want $want")
       }
-    }
-  }
-
-  /** The row placement as a priority queue of `(load, block)` over rows
-    * sorted by size, then index: what `Placement` computes on arrays.
-    */
-  private def referencePlacement(counts: Array[Array[Long]], nnz: Long, T: Int): Seq[(Seq[Int], Seq[Seq[Int]])] = {
-    val cap = math.max(1L, (nnz + 2L * T - 1) / (2L * T))
-    counts.toSeq.map { c =>
-      val home = new Array[Int](c.length)
-      val rows = c.indices.filter(c(_) > 0)
-      val parts = rows.map(i => math.min((c(i) + cap - 1) / cap, T.toLong).toInt)
-      val size = rows.indices.map(r => c(rows(r)) / parts(r))
-      val loads = mutable.PriorityQueue((0 until T).map(b => (0L, b)): _*)(Ordering[(Long, Int)].reverse)
-      val split = mutable.ArrayBuffer.empty[Seq[Int]]
-      rows.indices.sortBy(r => (-size(r), rows(r))).foreach { r =>
-        val blocks = Seq.fill(parts(r)) {
-          val (load, b) = loads.dequeue()
-          loads.enqueue((load + size(r), b))
-          b
-        }
-        home(rows(r)) = if (blocks.length == 1) blocks.head else { split += blocks; -split.length }
-      }
-      (home.toSeq, split.toSeq)
-    }
-  }
-
-  test("Placement equals a reference placement on hot rows") {
-    val t = hotRowTensor()
-    val entries = t.collectEntries()
-    val counts = t.dims.indices.map { n =>
-      val c = new Array[Long](t.dims(n))
-      entries.foreach { case (idx, _) => c(idx(n)) += 1 }
-      c
-    }.toArray
-    for (p <- Seq(2, 4, 16)) {
-      val got = RowBlocks.Placement(counts, entries.length.toLong, p)
-      val want = referencePlacement(counts, entries.length.toLong, p)
-      assert(got.home.indices.map(n => (got.home(n).toSeq, got.splits(n).toSeq.map(_.toSeq))) == want, s"T=$p")
-      assert(want.exists(_._2.nonEmpty), s"T=$p: the tensor splits no row")
     }
   }
 }
